@@ -33,11 +33,10 @@ PRE_V4_PIPELINED_TASKS_PER_S = 7942.31
 
 def _run_live(
     executors: int, n_tasks: int, bundle_size: int, pipeline_depth: int = 1,
-    wire_binary: bool = True,
 ) -> dict:
     with LocalFalkon(
         executors=executors, bundle_size=bundle_size,
-        pipeline_depth=pipeline_depth, wire_binary=wire_binary,
+        pipeline_depth=pipeline_depth,
     ) as falkon:
         tasks = [
             TaskSpec.sleep(0, task_id=f"lv-{bundle_size}-{pipeline_depth}-{i:05d}")
@@ -71,19 +70,12 @@ def test_live_throughput(benchmark, show):
         # process state: the anchor rates they are compared against
         # were measured the same way, and ~10k tasks of prior in-process
         # history measurably depresses a CPython run (allocator/GC
-        # state).  Best of two per wire: a single short run is at the
-        # mercy of scheduler noise.
+        # state).  Best of two: a single short run is at the mercy of
+        # scheduler noise.
         pipelined = [_run_live(4, 3000, 500, pipeline_depth=32) for _ in range(2)]
-        pipelined_json = [
-            _run_live(4, 3000, 500, pipeline_depth=32, wire_binary=False)
-            for _ in range(2)
-        ]
         rows = {
             "pipelined (depth 32), 4 executors": max(
                 pipelined, key=lambda r: r["tasks_per_s"]
-            ),
-            "pipelined (depth 32), wire JSON": max(
-                pipelined_json, key=lambda r: r["tasks_per_s"]
             ),
             "bundled (300), 4 executors": _run_live(4, n_tasks, 300),
             "bundled (300), 2 executors": _run_live(2, n_tasks, 300),

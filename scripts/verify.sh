@@ -31,20 +31,13 @@ python -m pytest -x -q
 # an error, not a skip: `repro bench` would silently record a fresh
 # baseline and pass, which is exactly how a regression sneaks through
 # a wiped checkout.  Record one deliberately instead.
-echo "== dispatch bench gate (wire v4 binary) =="
+echo "== dispatch bench gate =="
 if [[ ! -f BENCH_baseline.json ]]; then
     echo "ERROR: BENCH_baseline.json is missing — the bench gate has nothing to compare against." >&2
     echo "Record a baseline first:  PYTHONPATH=src python -m repro bench --quick --update-baseline" >&2
     exit 1
 fi
-python -m repro bench --quick --wire binary
-
-# The JSON path stays first-class: v1-v3 peers negotiate down to it,
-# so it gets its own regression gate against the same baseline.  The
-# wider tolerance absorbs the measured v4-over-JSON framing delta
-# (~10%, docs/PERFORMANCE.md) on top of ordinary host noise.
-echo "== dispatch bench gate (wire JSON fallback) =="
-python -m repro bench --quick --wire json --tolerance 0.35
+python -m repro bench --quick
 
 # IOLoop sharding microbench: echoed frames/s with 1 vs 4 selector
 # loops, recorded under "ioloop_scaling" in BENCH_dispatch.json.
@@ -91,9 +84,16 @@ python -m repro scenarios run --smoke
 # Federated scenario oracle gate: the same smoke seed replayed across
 # a 2-shard federation, including a mid-run shard kill -9 + restart;
 # the oracles must hold from the client's vantage (docs/PROTOCOL.md,
-# "Federation (wire v3)").
+# "Federation").
 echo "== federated scenario oracle gate =="
 python -m repro scenarios run --smoke --shards 2
+
+# Traced livebench smoke (~40 s): all three workloads with the per-layer
+# probes on.  The probes patch live-plane functions by name, so a
+# renamed target fails here rather than in a full benchmark run; the
+# run also exits non-zero if any task output check fails.
+echo "== livebench traced smoke =="
+python3 livebench/run.py --workload all --seed 1 --seconds 6 --trace 1
 
 if [[ "${1:-}" != "--quick" ]]; then
     echo "== Figure 3 throughput smoke =="

@@ -148,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="run one quick round under an all-thread cProfile "
                         "and print the top-20 cumulative frames (no gate)")
-    p.add_argument("--wire", choices=("binary", "json"), default="binary",
-                   help="wire codec under test: 'binary' negotiates the v4 "
-                        "fast path (default), 'json' pins the v1-v3 framing")
     p.add_argument("--io-threads", type=int, default=1, metavar="N",
                    help="dispatcher IOLoopGroup size (connections sharded "
                         "across N selector threads)")
@@ -993,13 +990,10 @@ def _cmd_bench(args) -> int:
         return _bench_ioloop(args)
 
     n_tasks = 1500 if args.quick else 5000
-    wire_kwargs: dict = {"wire_binary": args.wire == "binary"}
-    if args.io_threads > 1:
-        wire_kwargs["io_threads"] = args.io_threads
 
     def one_round(round_index: int, **deploy_kwargs) -> dict:
-        for key, value in wire_kwargs.items():
-            deploy_kwargs.setdefault(key, value)
+        if args.io_threads > 1:
+            deploy_kwargs.setdefault("io_threads", args.io_threads)
         with LocalFalkon(
             executors=args.executors,
             bundle_size=500,
@@ -1034,8 +1028,7 @@ def _cmd_bench(args) -> int:
     best = max((one_round(i) for i in range(2)), key=lambda r: r["tasks_per_s"])
     rate = best["tasks_per_s"]
     print(f"dispatch bench ({'quick, ' if args.quick else ''}{n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"wire {args.wire}):")
+          f"{args.executors} executors, pipeline depth {args.pipeline}):")
     print(f"  {rate:,.0f} tasks/s, dispatch p50 {best['dispatch_p50_s'] * 1e3:.1f} ms, "
           f"p99 {best['dispatch_p99_s'] * 1e3:.1f} ms")
 
@@ -1086,7 +1079,7 @@ def _bench_profile(args, n_tasks: int, one_round) -> int:
         ioloop.default_loop().stop()
     stats = collect()
     print(f"profiled bench round ({n_tasks} sleep-0 tasks, {args.executors} "
-          f"executors, pipeline depth {args.pipeline}, wire {args.wire}): "
+          f"executors, pipeline depth {args.pipeline}): "
           f"{result['tasks_per_s']:,.0f} tasks/s under instrumentation")
     print(print_top(stats, 20), end="")
     return 0
@@ -1217,7 +1210,6 @@ def _bench_ioloop(args) -> int:
     threads = max(2, args.io_threads)
     n_conns = max(4, threads * 2)
     n_frames = 500 if args.quick else 2000  # per connection, each way
-    binary = args.wire == "binary"
 
     def measure(loop_count: int) -> float:
         server_group = IOLoopGroup(threads=loop_count, name="bench-srv").start()
@@ -1234,7 +1226,6 @@ def _bench_ioloop(args) -> int:
             def on_accept(sock: socket_mod.socket) -> None:
                 conn = Connection(sock, handler=lambda m: None,
                                   name="echo-srv", loop=loop)
-                conn.wire_v4 = binary
                 conn.handler = conn.send  # echo every frame straight back
                 server_conns.append(conn)
                 conn.start()
@@ -1269,7 +1260,6 @@ def _bench_ioloop(args) -> int:
                 conn = Connection(sock, handler=on_echo,
                                   name=f"echo-cli-{index}",
                                   loop=client_group.next_loop())
-                conn.wire_v4 = binary
                 client_conns.append(conn)
                 conn.start()
 
@@ -1302,7 +1292,7 @@ def _bench_ioloop(args) -> int:
     ratio = multi / base
     cores = os.cpu_count() or 1
     print(f"ioloop scaling bench ({'quick, ' if args.quick else ''}{n_conns} "
-          f"connections x {n_frames} echoed frames, wire {args.wire}, "
+          f"connections x {n_frames} echoed frames, "
           f"best of 2 rounds, {cores} core(s) visible):")
     print(f"  1 loop    {base:,.0f} frames/s")
     print(f"  {threads} loops   {multi:,.0f} frames/s -> {ratio:.2f}x")
@@ -1319,7 +1309,7 @@ def _bench_ioloop(args) -> int:
         {"1": base, str(threads): multi})
     scaling.update(ratio_vs_1_loop=ratio, io_threads=threads,
                    connections=n_conns, frames_per_conn=n_frames,
-                   wire=args.wire, quick=args.quick, cores_visible=cores)
+                   quick=args.quick, cores_visible=cores)
     with open(args.dispatch_out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -195,7 +195,6 @@ class LiveClient:
         backoff_cap: float = 2.0,
         max_submit_retries: int = 1000,
         io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
     ) -> None:
         if bundle_size <= 0:
@@ -243,12 +242,6 @@ class LiveClient:
         self._user_closed = False
         self._reconnecting = threading.Lock()
         self.epr: Optional[str] = None
-        #: Whether the dispatcher echoed the "bin" capability on the
-        #: latest CREATE_INSTANCE exchange (read by _connect).
-        self._caps_bin = False
-        #: Offer the wire v4 binary fast path on CREATE_INSTANCE
-        #: (``caps: ["bin"]``); False emulates a JSON-only v1-v3 peer.
-        self.wire_binary = wire_binary
         #: Private IOLoopGroup for this client's socket; 1 (default)
         #: keeps the process-wide shared outbound loop.
         self._io_loops = (IOLoopGroup(io_threads, name="client")
@@ -272,10 +265,18 @@ class LiveClient:
         """Dial the dispatcher and (re-)establish our instance."""
         sock = socket.create_connection(self.address, timeout=10.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+        def on_close() -> None:
+            # Wake the handshake wait below: a dispatcher that refused
+            # us (e.g. an unsigned frame on a keyed channel) has closed
+            # the socket and will never answer.
+            self._instance_ready.set()
+            self._conn_closed()
+
         conn = Connection(
             sock,
             handler=self._handle,
-            on_close=self._conn_closed,
+            on_close=on_close,
             key=self.key,
             name="client",
             loop=self._io_loops.next_loop() if self._io_loops else None,
@@ -284,11 +285,6 @@ class LiveClient:
         # a reconnect resumes the existing instance by sending it back.
         self._instance_ready.clear()
         payload = {"epr": self.epr} if self.epr else {}
-        if self.wire_binary:
-            # Offer wire v4; the flip waits for the dispatcher's
-            # capability echo on INSTANCE_CREATED (its reader accepts
-            # both framings, so the directions switch independently).
-            payload["caps"] = ["bin"]
         try:
             conn.send(Message(MessageType.CREATE_INSTANCE, sender="client", payload=payload))
         except ProtocolError:
@@ -297,8 +293,10 @@ class LiveClient:
         if not self._instance_ready.wait(10.0):
             conn.close()
             raise ProtocolError("dispatcher did not answer CREATE_INSTANCE")
-        if self.wire_binary and self._caps_bin:
-            conn.wire_v4 = True  # wire v4 negotiated: flip our sends
+        if conn.closed:
+            raise ProtocolError(
+                "dispatcher closed the connection during CREATE_INSTANCE "
+                "(handshake rejected: check the shared key)")
         return conn
 
     def _conn_closed(self) -> None:
@@ -478,10 +476,6 @@ class LiveClient:
         self.flight.record(FRAME_RX, msg.type.name)
         if msg.type is MessageType.INSTANCE_CREATED:
             self.epr = msg.payload.get("epr")
-            # Record the negotiation outcome; _connect flips the new
-            # connection's send framing after the handshake (the
-            # handler may run before self._conn is assigned).
-            self._caps_bin = "bin" in (msg.payload.get("caps") or ())
             self._instance_ready.set()
         elif msg.type is MessageType.SUBMIT_ACK:
             self._submit_reply = {"ok": True}
@@ -495,19 +489,12 @@ class LiveClient:
                 "retry_after": msg.payload.get("retry_after", 0.0),
             }
             self._submit_ack.set()
-        elif msg.type is MessageType.CLIENT_NOTIFY:
-            # Singular "result" (v1) or a batched "results" list (v2 —
-            # results settled together ride one frame).
-            payloads = []
-            single = msg.payload.get("result")
-            if single:
-                payloads.append(single)
-            payloads.extend(msg.payload.get("results", ()))
-            self._fulfill_many(payloads)
-        elif msg.type is MessageType.RESULTS:
-            # Poll/backfill reply {10}: everything finished so far.
+        elif msg.type in (MessageType.CLIENT_NOTIFY, MessageType.RESULTS):
+            # Results settled together ride one CLIENT_NOTIFY frame; a
+            # RESULTS frame is the poll/backfill reply {10}.
             self._fulfill_many(msg.payload.get("results", ()))
-            self._results_reply.set()
+            if msg.type is MessageType.RESULTS:
+                self._results_reply.set()
 
     def _fulfill_many(self, payloads) -> None:
         # The payload dicts are wire-owned (freshly parsed, this

@@ -32,6 +32,7 @@ from typing import Optional
 
 from repro.errors import ProtocolError
 from repro.live.protocol import Connection
+from repro.net.message import WIRE_CODES, MessageType
 from repro.sim.rng import RngStreams
 
 __all__ = ["FaultAction", "FaultPlan", "FaultyConnection"]
@@ -80,10 +81,10 @@ class FaultPlan:
         (no draw consumed, keeping per-type schedules stable).  Lets a
         chaos run starve one protocol edge — e.g. drop every NOTIFY to
         manufacture a genuine queue stall — without also severing
-        registration or heartbeats.  Matching sniffs the encoded
-        bytes, because cached broadcast frames never exist as
-        :class:`Message` objects on the send path; use JSON framing
-        (``wire_binary=False``) when exact per-type matching matters.
+        registration or heartbeats.  Matching reads the message-type
+        code in the frame header, so cached broadcast frames (which
+        never exist as :class:`Message` objects on the send path) match
+        exactly too.
     """
 
     def __init__(
@@ -115,13 +116,8 @@ class FaultPlan:
         self._crash_hits: dict[str, int] = {}
         self.roles = frozenset(roles) if roles is not None else None
         self.drop_types = frozenset(drop_types) if drop_types else None
-        # JSON frames carry MessageType *values* — lowercase — while
-        # callers naturally write wire names ({"NOTIFY"}); sniff both
-        # spellings so either convention matches.
-        self._drop_tokens = tuple(
-            f'"{spelling}"'.encode("utf-8")
-            for t in self.drop_types or ()
-            for spelling in {t, t.lower()})
+        self._drop_codes = frozenset(
+            WIRE_CODES[MessageType[t]] for t in self.drop_types or ())
         self._rng = RngStreams(self.seed)
         self._lock = threading.Lock()
         self.counters = {
@@ -145,13 +141,12 @@ class FaultPlan:
         """Whether an encoded frame is eligible for type-scoped drops.
 
         With no ``drop_types`` every frame is eligible.  Otherwise the
-        raw bytes are sniffed for the quoted type token (JSON frames
-        carry ``"type": "NOTIFY"`` literally); a miss means the frame
-        is exempt from the drop draw entirely.
+        header's message-type code (byte 2) decides; a miss means the
+        frame is exempt from the drop draw entirely.
         """
         if self.drop_types is None:
             return True
-        return any(token in frame for token in self._drop_tokens)
+        return len(frame) > 2 and frame[2] in self._drop_codes
 
     def decide(self, name: str, frame_index: int) -> tuple[FaultAction, float]:
         """The fate of frame *frame_index* on connection *name*.

@@ -1,5 +1,5 @@
 """Multi-dispatcher federation: sharding + work stealing behind one
-logical Falkon (wire v3).
+logical Falkon.
 
 Topology
 --------
@@ -131,7 +131,8 @@ class PeerLink:
         self.dial_backoff_cap = dial_backoff_cap
         self._lock = threading.Lock()
         self._conn: Optional[Connection] = None
-        self._caps: tuple[str, ...] = ()
+        #: The peer answered our gossip — only a federated shard does.
+        self._gossiped = False
         self._dialing = False
         self._next_dial = 0.0
         self._dial_delay = 0.05
@@ -149,9 +150,10 @@ class PeerLink:
 
     @property
     def ready(self) -> bool:
-        """Connected *and* the peer advertised the "steal" capability
-        in its gossip reply — the wire-v3 negotiation gate."""
-        return self.connected and "steal" in self._caps
+        """Connected *and* the peer answered our gossip: a
+        non-federated dispatcher never does, so it is never stolen
+        from."""
+        return self.connected and self._gossiped
 
     # -- lifecycle -------------------------------------------------------------
     def tick(self, now: float) -> None:
@@ -209,7 +211,7 @@ class PeerLink:
     def _conn_closed(self) -> None:
         with self._lock:
             self._conn = None
-            self._caps = ()
+            self._gossiped = False
             self._outstanding_t = None
             self._next_dial = time.monotonic() + self._dial_delay
 
@@ -273,19 +275,9 @@ class PeerLink:
         if msg.type is MessageType.HEARTBEAT:
             shard = msg.payload.get("shard")
             if isinstance(shard, dict) and str(shard.get("id")) == self.shard_id:
-                caps = tuple(c for c in (shard.get("caps") or ())
-                             if isinstance(c, str))
-                self._caps = caps
-                # Wire-v4 negotiation, gossip edition: once the peer
-                # advertises "bin" (and we speak it), flip our sends on
-                # this link to binary framing.  Readers always accept
-                # both framings, so each direction flips independently.
-                conn = self._conn
-                if (conn is not None and not conn.wire_v4
-                        and self.dispatcher.wire_binary and "bin" in caps):
-                    conn.wire_v4 = True
+                self._gossiped = True
                 self.dispatcher._note_peer_depth(
-                    self.shard_id, shard.get("stats") or {}, list(caps),
+                    self.shard_id, shard.get("stats") or {},
                     health=shard.get("health"))
         elif msg.type is MessageType.STEAL_GRANT:
             with self._lock:

@@ -194,30 +194,30 @@ class LiveForwarder:
 
     # -- downstream (result relay) -------------------------------------------------
     def _relay_result(self, downstream: _Downstream, msg: Message) -> None:
-        # A notify frame carries one result (v1 "result") or a settled
-        # batch (v2 "results"); each entry routes to its own owner.
-        payloads = []
-        single = msg.payload.get("result")
-        if single:
-            payloads.append(single)
-        payloads.extend(
-            p for p in msg.payload.get("results", ()) if isinstance(p, dict)
-        )
-        for payload in payloads:
-            task_id = payload.get("task_id")
-            with self._lock:
-                owner = self._task_owner.pop(task_id, None)
-                if owner is not None:
-                    downstream.outstanding = max(0, downstream.outstanding - 1)
-                client = self._clients.get(owner[0]) if owner else None
-            if client is not None:
-                try:
-                    client.conn.send(
-                        Message(MessageType.CLIENT_NOTIFY, sender="forwarder",
-                                payload={"result": payload})
-                    )
-                except Exception:
-                    pass
+        # A notify frame carries a settled batch; each entry routes to
+        # its own owner, one CLIENT_NOTIFY per owning client.
+        by_client: dict[str, list[dict]] = {}
+        with self._lock:
+            for payload in msg.payload.get("results", ()):
+                if not isinstance(payload, dict):
+                    continue
+                owner = self._task_owner.pop(payload.get("task_id"), None)
+                if owner is None:
+                    continue
+                downstream.outstanding = max(0, downstream.outstanding - 1)
+                by_client.setdefault(owner[0], []).append(payload)
+            clients = {cid: self._clients.get(cid) for cid in by_client}
+        for client_id, payloads in by_client.items():
+            client = clients[client_id]
+            if client is None:
+                continue
+            try:
+                client.conn.send(
+                    Message(MessageType.CLIENT_NOTIFY, sender="forwarder",
+                            payload={"results": payloads})
+                )
+            except Exception:
+                pass
 
     def _session_closed(self, session: "_ForwarderSession") -> None:
         if session.client_id is not None:

@@ -753,7 +753,9 @@ class Journal:
     def stats(self) -> dict[str, Any]:
         with self._lock:
             out: dict[str, Any] = dict(self.counters)
-            out["pending"] = len(self._buffer)
+            # Appended but not yet durable: counts the batch the
+            # flusher has taken but not finished writing and fsyncing.
+            out["pending"] = self._appended - self._flushed
             out["tail_records"] = self._tail_records
             out["failed"] = int(self._failed)
         out["last_flush_s"] = round(self.last_flush_s, 6)

@@ -116,7 +116,6 @@ class LocalFalkon:
         journal_compact_every: int = 50_000,
         retain_settled: Optional[int] = None,
         io_threads: int = 1,
-        wire_binary: bool = True,
         flight: bool = True,
         flight_dump_dir: Optional[str] = None,
         stall_after: float = 5.0,
@@ -144,7 +143,6 @@ class LocalFalkon:
             journal_compact_every=journal_compact_every,
             retain_settled=retain_settled,
             io_threads=io_threads,
-            wire_binary=wire_binary,
             flight=flight,
             flight_dump_dir=flight_dump_dir,
             stall_after=stall_after,
@@ -166,7 +164,6 @@ class LocalFalkon:
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
                     heartbeat_stats=heartbeat_stats,
-                    wire_binary=wire_binary,
                     flight=flight,
                     **kw,
                 ),
@@ -180,15 +177,13 @@ class LocalFalkon:
                     heartbeat_interval=heartbeat_interval,
                     pipeline=pipeline_depth,
                     heartbeat_stats=heartbeat_stats,
-                    wire_binary=wire_binary,
                     flight=flight,
                 ).start()
                 self.executors.append(executor)
             for executor in self.executors:
                 executor.wait_registered()
         self.client = LiveClient(self.dispatcher.endpoint, key=key,
-                                 bundle_size=bundle_size, wire_binary=wire_binary,
-                                 flight=flight)
+                                 bundle_size=bundle_size, flight=flight)
         if http_port is not None:
             # Started last: the registries closure re-reads the pool on
             # every scrape, so provisioned executors appear without

@@ -1,30 +1,21 @@
-"""Wire codec for the live TCP plane.
+"""Wire codec for the live TCP plane: one binary framing.
 
-Frames are ``4-byte big-endian length || JSON body``.  When a shared
-key is supplied, the body is an envelope ``{"body": ..., "sig": hex}``
-where ``sig`` is HMAC-SHA256 over the canonical JSON of ``body`` — our
-stand-in for GSISecureConversation's per-message authentication (the
-paper treats security purely as per-message overhead, §4.1).
+Every frame is::
 
-Encode-once fast path: :func:`encode_frame` canonicalises the payload
-exactly once and signs *those* bytes; the envelope is assembled around
-them by byte splicing, so a signed frame costs one ``json.dumps``, not
-two.  The canonical encoding is a fixed point of ``dumps(loads(x))``,
-which is what lets the receiver re-derive the same bytes for
-verification.
+    header   ">BBBBI" — magic 0xFB, version 4, type code, flags, body_len
+    body     u32 head_len || head JSON ||
+             [u16 nblobs || (u32 len || blob bytes)*  when FLAG_BLOBS]
+    trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
 
-Wire v4 (binary framing) shares the byte stream: a v4 frame starts
-with the magic byte ``0xFB``, which can never open a JSON frame (a
-legal JSON length prefix is ≤ ``MAX_FRAME_BYTES`` = 64 MiB, so its
-first byte is ≤ ``0x03``), letting one :class:`FrameReader` parse a
-stream that mixes both framings.  See :func:`encode_message_v4` for
-the layout.  v4 signing is a raw HMAC-SHA256 over the transmitted
-header+body bytes — no canonicalisation on either side.
+With a shared key every frame carries the HMAC trailer — our stand-in
+for GSISecureConversation's per-message authentication (the paper
+treats security purely as per-message overhead, §4.1).  Signing covers
+the transmitted bytes, so neither side canonicalises or re-serialises.
 
-The codec is deliberately socket-free: :func:`encode_frame` returns
-bytes and :class:`FrameReader` is an incremental push parser, so the
-protocol is unit-testable without I/O and reusable over any byte
-stream.
+The codec is deliberately socket-free: :func:`encode_message_v4`
+returns bytes and :class:`FrameReader` is an incremental push parser,
+so the protocol is unit-testable without I/O and reusable over any
+byte stream.
 """
 
 from __future__ import annotations
@@ -36,17 +27,12 @@ import struct
 from typing import Any, Iterator, Optional
 
 from repro.errors import ProtocolError, SecurityError
-from repro.net.message import CODE_TO_TYPE, Message, WIRE_CODES
+from repro.net.message import CODE_TO_TYPE, PROTOCOL_VERSION, Message, WIRE_CODES
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "V4_MAGIC",
-    "encode_frame",
-    "decode_frame",
     "encode_message_v4",
-    "sign_bytes",
-    "sign_payload",
-    "verify_payload",
     "FrameReader",
 ]
 
@@ -54,12 +40,7 @@ __all__ = [
 #: ~60 KB, so 64 MiB leaves ample headroom while bounding memory.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-_LENGTH = struct.Struct(">I")
-
-#: First byte of every wire-v4 frame.  Chosen > 0x03 so it can never
-#: be confused with the high byte of a legal JSON length prefix
-#: (lengths are capped at 64 MiB), which is what lets one stream carry
-#: both framings.
+#: First byte of every frame.
 V4_MAGIC = 0xFB
 
 #: v4 fixed header: magic, version, message-type code, flags, body length.
@@ -72,71 +53,8 @@ _V4_FLAG_SIGNED = 0x01
 _V4_FLAG_BLOBS = 0x02
 _V4_KNOWN_FLAGS = _V4_FLAG_SIGNED | _V4_FLAG_BLOBS
 _V4_DIGEST_BYTES = 32
-_V4_VERSION = 4
 
-_dumps = json.dumps  # hot-path alias; v4 heads are not canonicalised
-
-#: Sentinel: the buffer does not yet hold a complete frame.
-_INCOMPLETE = object()
-
-
-def _canonical(payload: Any) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def sign_bytes(body: bytes, key: bytes) -> str:
-    """HMAC-SHA256 signature (hex) over *body* as transmitted."""
-    return hmac.new(key, body, hashlib.sha256).hexdigest()
-
-
-def sign_payload(payload: Any, key: bytes) -> str:
-    """HMAC-SHA256 signature (hex) over the canonical JSON of *payload*."""
-    return sign_bytes(_canonical(payload), key)
-
-
-def verify_payload(envelope: dict[str, Any], key: bytes) -> Any:
-    """Check an envelope's signature and return the inner body.
-
-    Raises
-    ------
-    SecurityError
-        On a missing or non-matching signature.
-    """
-    if not isinstance(envelope, dict) or "sig" not in envelope or "body" not in envelope:
-        raise SecurityError("secure frame lacks signature envelope")
-    expected = sign_payload(envelope["body"], key)
-    if not hmac.compare_digest(expected, str(envelope["sig"])):
-        raise SecurityError("frame signature mismatch")
-    return envelope["body"]
-
-
-def encode_frame(payload: Any, key: Optional[bytes] = None) -> bytes:
-    """Serialise *payload* into one length-prefixed frame.
-
-    The payload is canonicalised exactly once; with a key, the HMAC is
-    computed over those bytes and the envelope is spliced around them
-    (the keys ``body`` < ``sig`` are already in canonical sort order).
-    """
-    body = _canonical(payload)
-    if key is not None:
-        sig = sign_bytes(body, key)
-        body = b'{"body":' + body + b',"sig":"' + sig.encode() + b'"}'
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds limit {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(body)) + body
-
-
-def decode_frame(frame: bytes, key: Optional[bytes] = None) -> Any:
-    """Inverse of :func:`encode_frame` for one complete frame.
-
-    Also decodes wire-v4 frames (returning a :class:`Message`); the
-    framings share one parser.
-    """
-    reader = FrameReader(key=key)
-    messages = list(reader.feed(frame))
-    if len(messages) != 1 or reader.pending_bytes:
-        raise ProtocolError(f"expected exactly one complete frame, got {len(messages)}")
-    return messages[0]
+_dumps = json.dumps  # hot-path alias; heads are not canonicalised
 
 
 def encode_message_v4(
@@ -144,16 +62,10 @@ def encode_message_v4(
     key: Optional[bytes] = None,
     blobs: Optional[dict[str, Any]] = None,
 ) -> bytes:
-    """Serialise *message* into one wire-v4 binary frame.
+    """Serialise *message* into one binary frame (layout in the module
+    docstring).
 
-    Layout::
-
-        header   ">BBBBI" — magic 0xFB, version 4, type code, flags, body_len
-        body     u32 head_len || head JSON ||
-                 [u16 nblobs || (u32 len || blob bytes)*  when FLAG_BLOBS]
-        trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
-
-    The head is ``{"sender", "msg_id", "payload"[, "trace"][, "_blobs"]}``
+    The head is ``{"sender", "msg_id", "payload"[, "_blobs"]}``
     — the message type lives only in the header code, and the head is
     *not* canonicalised (no ``sort_keys``): signing covers the
     transmitted bytes directly, so neither side re-serialises.
@@ -173,8 +85,6 @@ def encode_message_v4(
         "msg_id": message.msg_id,
         "payload": message.payload,
     }
-    if message.trace is not None:
-        head["trace"] = message.trace
     blob_parts: list[bytes] = []
     if blobs:
         flags |= _V4_FLAG_BLOBS
@@ -202,7 +112,7 @@ def encode_message_v4(
     except KeyError:
         raise ProtocolError(f"message type {message.type!r} has no wire-v4 code") from None
     buf = bytearray(_V4_HEADER.size + body_len)
-    _V4_HEADER.pack_into(buf, 0, V4_MAGIC, _V4_VERSION, code, flags, body_len)
+    _V4_HEADER.pack_into(buf, 0, V4_MAGIC, PROTOCOL_VERSION, code, flags, body_len)
     offset = _V4_HEADER.size
     _V4_U32.pack_into(buf, offset, len(head_bytes))
     offset += _V4_U32.size
@@ -221,9 +131,7 @@ def encode_message_v4(
     return bytes(buf)
 
 
-def _decode_v4_body(
-    code: int, flags: int, body: memoryview, key: Optional[bytes]
-) -> Message:
+def _decode_v4_body(code: int, flags: int, body: memoryview) -> Message:
     """Parse one complete v4 body (signature already checked) into a Message."""
     try:
         msg_type = CODE_TO_TYPE[code]
@@ -288,34 +196,31 @@ def _decode_v4_body(
             raise ProtocolError("wire-v4 blob section has unclaimed blobs")
     if offset != len(body):
         raise ProtocolError("wire-v4 body has trailing bytes")
-    trace = head.get("trace")
     return Message(
         type=msg_type,
         sender=head.get("sender", ""),
         payload=payload,
         msg_id=head.get("msg_id", 0),
-        trace=trace if isinstance(trace, dict) else None,
         blobs=raw_blobs,
     )
 
 
 class FrameReader:
-    """Incremental frame parser for both framings.
+    """Incremental frame parser.
 
-    Feed it arbitrary byte chunks; it yields each completed frame —
-    the decoded payload (usually a dict) for length-prefixed JSON
-    frames, a :class:`Message` for wire-v4 binary frames.  TCP gives
-    no message boundaries, so the event loop pushes ``recv()`` chunks
-    through one of these.  The framings may interleave freely on one
-    stream: each frame's first byte (``0xFB`` vs a length high byte
-    ≤ ``0x03``) selects its parser.
+    Feed it arbitrary byte chunks; it yields a :class:`Message` for
+    each completed frame.  TCP gives no message boundaries, so the
+    event loop pushes ``recv()`` chunks through one of these.
 
-    An oversized frame raises :class:`ProtocolError` once, then the
-    reader discards exactly the advertised body and resynchronises on
-    the next frame boundary — a caller that chooses to keep the stream
-    alive loses only the offending frame, never the frames behind it.
-    (The live plane still drops the connection on any ProtocolError;
-    resynchronisation is for embedders with their own policy.)
+    An oversized frame or a corrupt header raises
+    :class:`ProtocolError` once, then the reader discards exactly the
+    advertised body and resynchronises on the next frame boundary — a
+    caller that chooses to keep the stream alive loses only the
+    offending frame, never the frames behind it.  Bytes that do not
+    start with the frame magic have no boundary to resynchronise on,
+    so the buffer is dropped.  (The live plane still
+    drops the connection on any ProtocolError; resynchronisation is
+    for embedders with their own policy.)
     """
 
     def __init__(self, key: Optional[bytes] = None) -> None:
@@ -328,8 +233,8 @@ class FrameReader:
         """Bytes buffered but not yet forming a complete frame."""
         return len(self._buffer) + self._skip
 
-    def feed(self, chunk: bytes) -> Iterator[Any]:
-        """Consume *chunk*; yield every payload completed by it."""
+    def feed(self, chunk: bytes) -> Iterator[Message]:
+        """Consume *chunk*; yield every message completed by it."""
         self._buffer.extend(chunk)
         while True:
             if self._skip:
@@ -340,53 +245,26 @@ class FrameReader:
                     return
             if not self._buffer:
                 return
-            if self._buffer[0] == V4_MAGIC:
-                frame = self._next_v4()
-            else:
-                frame = self._next_json()
-            if frame is _INCOMPLETE:
+            message = self._next()
+            if message is None:
                 return
-            yield frame
+            yield message
 
-    def _next_json(self) -> Any:
-        """Parse one length-prefixed JSON frame, or ``_INCOMPLETE``."""
-        if len(self._buffer) < _LENGTH.size:
-            return _INCOMPLETE
-        (length,) = _LENGTH.unpack_from(self._buffer, 0)
-        if length > MAX_FRAME_BYTES:
-            # Arm skip mode before raising so a caller that keeps
-            # feeding resynchronises at the next frame boundary.
-            del self._buffer[: _LENGTH.size]
-            self._skip = length
-            raise ProtocolError(f"advertised frame length {length} exceeds limit")
-        end = _LENGTH.size + length
-        if len(self._buffer) < end:
-            return _INCOMPLETE
-        body = bytes(self._buffer[_LENGTH.size : end])
-        del self._buffer[:end]
-        try:
-            payload = json.loads(body)
-        except ValueError as exc:
-            # JSONDecodeError and UnicodeDecodeError both subclass
-            # ValueError; a fuzzed frame must never escape the
-            # ProtocolError contract and kill the I/O loop.
-            raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-        if self._key is not None:
-            payload = verify_payload(payload, self._key)
-        return payload
-
-    def _next_v4(self) -> Any:
-        """Parse one wire-v4 binary frame, or ``_INCOMPLETE``."""
+    def _next(self) -> Optional[Message]:
+        """Parse one frame, or ``None`` while it is still incomplete."""
+        if self._buffer[0] != V4_MAGIC:
+            self._buffer.clear()
+            raise ProtocolError("stream is not at a frame boundary (bad magic)")
         if len(self._buffer) < _V4_HEADER.size:
-            return _INCOMPLETE
+            return None
         _magic, version, code, flags, body_len = _V4_HEADER.unpack_from(self._buffer, 0)
         trailer = _V4_DIGEST_BYTES if flags & _V4_FLAG_SIGNED else 0
-        if version != _V4_VERSION or flags & ~_V4_KNOWN_FLAGS:
+        if version != PROTOCOL_VERSION or flags & ~_V4_KNOWN_FLAGS:
             # Resync past the advertised body: a corrupt header from a
             # future or broken peer must not poison the frames behind it.
             del self._buffer[: _V4_HEADER.size]
             self._skip = min(body_len, MAX_FRAME_BYTES) + trailer
-            if version != _V4_VERSION:
+            if version != PROTOCOL_VERSION:
                 raise ProtocolError(f"unsupported binary wire version {version}")
             raise ProtocolError(f"unknown wire-v4 flags 0x{flags:02x}")
         if body_len > MAX_FRAME_BYTES:
@@ -395,7 +273,7 @@ class FrameReader:
             raise ProtocolError(f"advertised frame length {body_len} exceeds limit")
         end = _V4_HEADER.size + body_len + trailer
         if len(self._buffer) < end:
-            return _INCOMPLETE
+            return None
         frame = bytes(self._buffer[:end])
         del self._buffer[:end]
         if self._key is not None:
@@ -408,4 +286,4 @@ class FrameReader:
         elif trailer:
             raise SecurityError("signed wire-v4 frame on an unkeyed channel")
         body = memoryview(frame)[_V4_HEADER.size : _V4_HEADER.size + body_len]
-        return _decode_v4_body(code, flags, body, self._key)
+        return _decode_v4_body(code, flags, body)

@@ -23,6 +23,7 @@ from repro.live import (
 )
 from repro.metrics import delivery_ratio, fault_rates, liveness_summary, tasks_lost
 from repro.net.message import Message, MessageType
+from repro.net.wire import encode_message_v4
 from repro.types import TaskSpec
 
 from tests.live.util import RawPeer, wait_until
@@ -77,6 +78,24 @@ def test_faulty_connection_drops_frames():
     time.sleep(0.2)
     assert received == []
     assert plan.snapshot()["frames_dropped"] == 5
+    left.close()
+    right.close()
+
+    # Type-scoped: only NOTIFY frames are dropped (matched on the
+    # header's type code), including pre-encoded broadcast bytes.
+    left_sock, right_sock = _socket_pair()
+    received = []
+    plan = FaultPlan(seed=1, drop_rate=1.0, roles=None, drop_types={"NOTIFY"})
+    left = FaultyConnection(left_sock, handler=lambda m: None, name="L", plan=plan).start()
+    right = Connection(right_sock, handler=received.append, name="R").start()
+    left.send(Message(MessageType.NOTIFY))
+    left.send(Message(MessageType.HEARTBEAT, payload={"note": "NOTIFY"}))
+    left.send_encoded(encode_message_v4(Message(MessageType.NOTIFY)))
+    left.send(Message(MessageType.WORK, payload={"tasks": []}))
+    assert wait_until(lambda: len(received) == 2)
+    time.sleep(0.1)
+    assert [m.type for m in received] == [MessageType.HEARTBEAT, MessageType.WORK]
+    assert plan.snapshot()["frames_dropped"] == 2
     left.close()
     right.close()
 
@@ -184,7 +203,8 @@ def test_executor_killed_mid_task_is_redispatched_and_completes():
         victim.recv_until(MessageType.NOTIFY)
         victim.send(Message(MessageType.GET_WORK, sender="victim"))
         work = victim.recv_until(MessageType.WORK)
-        assert work.payload["task"]["task_id"] == "redispatch-1"
+        [entry] = work.payload["tasks"]
+        assert entry["task"]["task_id"] == "redispatch-1"
         victim.close()
         assert wait_until(lambda: dispatcher.stats().registered == 0, timeout=5.0)
         backup = LiveExecutor(dispatcher.endpoint).start()
@@ -320,7 +340,8 @@ def test_ack_send_failure_does_not_charge_retry_or_attempt():
         worker.recv_until(MessageType.NOTIFY)
         worker.send(Message(MessageType.GET_WORK, sender="fragile"))
         work = worker.recv_until(MessageType.WORK)
-        assert work.payload["task"]["task_id"] == "done-task"
+        [entry] = work.payload["tasks"]
+        assert entry["task"]["task_id"] == "done-task"
 
         # Make the dispatcher's ack transmission fail exactly like a
         # dead socket: close, then raise (Connection.send's contract).
@@ -339,10 +360,10 @@ def test_ack_send_failure_does_not_charge_retry_or_attempt():
             Message(
                 MessageType.RESULT,
                 sender="fragile",
-                payload={
+                payload={"results": [{
                     "result": {"task_id": "done-task", "return_code": 0},
-                    "attempt": work.payload["attempt"],
-                },
+                    "attempt": entry["attempt"],
+                }]},
             )
         )
         # The completed task's notification must still reach the client.

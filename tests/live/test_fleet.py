@@ -35,7 +35,7 @@ class TestFleetEndpoint:
             assert status["alive"] is True
             assert status["shard_id"] == shard_id
             assert status["health"]["status"] == "ok"
-            assert status["wire"] in ("v3", "v4")
+            assert status["wire"] == "v4"
         # Home-shard attribution: the aggregate counts each task once.
         assert fleet["aggregate"]["completed"] == 20
         assert fleet["aggregate"]["shards"] == 2

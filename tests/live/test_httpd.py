@@ -213,7 +213,7 @@ class TestLiveHttpSmoke:
             health = json.loads(body)
             assert health["status"] == "ok"
             assert health["degraded"] == []
-            assert health["wire"] in ("v3", "v4")
+            assert health["wire"] == "v4"
             assert health["io_threads"] >= 1
 
     def test_repro_top_renders_against_a_live_surface(self, capsys):

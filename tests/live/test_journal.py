@@ -130,6 +130,33 @@ def test_window_flush_without_commit(tmp_path):
         journal.close()
 
 
+def test_pending_counts_the_batch_being_written(tmp_path, monkeypatch):
+    """``pending`` stays 1 while the flusher's write+fsync of the only
+    record is in flight, and drops to 0 once it is durable."""
+    import threading
+
+    entered = threading.Event()
+    release = threading.Event()
+    real_fsync = os.fsync
+
+    def blocking_fsync(fd):
+        entered.set()
+        release.wait(5.0)
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.live.journal.os.fsync", blocking_fsync)
+    journal = Journal(tmp_path, flush_window=0.01)
+    try:
+        journal.append("submit", "t-1")
+        assert entered.wait(5.0)
+        assert journal.stats()["pending"] == 1
+        release.set()
+        assert wait_until(lambda: journal.stats()["pending"] == 0, timeout=5.0)
+    finally:
+        release.set()
+        journal.close()
+
+
 def test_close_flushes_remaining(tmp_path):
     journal = Journal(tmp_path)
     journal.append("submit", "t-1")

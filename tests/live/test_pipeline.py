@@ -1,10 +1,10 @@
-"""Bounded pipelining (§3.4 piggy-backing extended, wire v2).
+"""Bounded pipelining (§3.4 piggy-backing extended).
 
 Executors that advertise ``pipeline: N`` in REGISTER receive up to N
 queued tasks per WORK/RESULT_ACK frame as a ``tasks`` list, report
 completions in batched RESULT frames, and the dispatcher pushes the
 matching settled results to clients in batched CLIENT_NOTIFY frames.
-Depth-1 peers keep the v1 singular ``task``/``result`` wire format.
+A depth-1 executor is simply ``pipeline: 1``: same frames, one entry.
 """
 
 import pytest
@@ -23,17 +23,6 @@ def _sleep_tasks(n, prefix="pp"):
     return [TaskSpec.sleep(0, task_id=f"{prefix}-{i:04d}") for i in range(n)]
 
 
-def _register_pipelined(peer: RawPeer, executor_id: str, depth: int) -> None:
-    peer.send(
-        Message(
-            MessageType.REGISTER,
-            sender=executor_id,
-            payload={"executor_id": executor_id, "pipeline": depth},
-        )
-    )
-    peer.recv_until(MessageType.REGISTER_ACK)
-
-
 def test_pipelined_deployment_completes_with_full_traces():
     with LocalFalkon(executors=2, pipeline_depth=8) as falkon:
         tasks = _sleep_tasks(200)
@@ -50,10 +39,9 @@ def test_pipelined_work_frame_carries_task_list():
         futures = client.submit(_sleep_tasks(10, "wl"))
         peer = RawPeer(dispatcher.address)
         try:
-            _register_pipelined(peer, "pp-exec", 4)
+            peer.register("pp-exec", pipeline=4)
             peer.send(Message(MessageType.GET_WORK, sender="pp-exec"))
             work = peer.recv_until(MessageType.WORK)
-            assert "task" not in work.payload  # v2, not the singular v1 key
             entries = work.payload["tasks"]
             assert 1 <= len(entries) <= 4
             for entry in entries:
@@ -72,12 +60,12 @@ def test_batched_result_settles_all_and_refills_ack():
         futures = client.submit(_sleep_tasks(8, "br"))
         peer = RawPeer(dispatcher.address)
         try:
-            _register_pipelined(peer, "br-exec", 4)
+            peer.register("br-exec", pipeline=4)
             peer.send(Message(MessageType.GET_WORK, sender="br-exec"))
             work = peer.recv_until(MessageType.WORK)
             entries = work.payload["tasks"]
             assert len(entries) == 4
-            # One RESULT frame carries the whole batch (wire v2).
+            # One RESULT frame carries the whole batch.
             peer.send(
                 Message(
                     MessageType.RESULT,
@@ -111,19 +99,32 @@ def test_batched_result_settles_all_and_refills_ack():
             client.close()
 
 
-def test_depth1_peer_keeps_v1_singular_wire_format():
+def test_depth1_peer_gets_one_entry_task_lists():
     with LiveDispatcher() as dispatcher:
         client = LiveClient(dispatcher.endpoint)
-        futures = client.submit(_sleep_tasks(3, "v1"))
+        futures = client.submit(_sleep_tasks(3, "d1"))
         peer = RawPeer(dispatcher.address)
         try:
-            peer.register("v1-exec")
-            peer.send(Message(MessageType.GET_WORK, sender="v1-exec"))
+            peer.register("d1-exec")
+            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
             work = peer.recv_until(MessageType.WORK)
-            assert "tasks" not in work.payload
-            assert work.payload["task"]["task_id"].startswith("v1-")
-            assert work.payload["attempt"] == 1
-            assert work.trace is not None
+            [entry] = work.payload["tasks"]
+            assert entry["task"]["task_id"].startswith("d1-")
+            assert entry["attempt"] == 1
+            assert entry["trace"] and "tid" in entry["trace"]
+            # Busy at depth 1: another pull gets NO_WORK, not a second task.
+            peer.send(Message(MessageType.GET_WORK, sender="d1-exec"))
+            assert peer.recv_until(MessageType.NO_WORK) is not None
+            peer.send(Message(MessageType.RESULT, sender="d1-exec", payload={
+                "results": [{"result": {"task_id": entry["task"]["task_id"],
+                                        "return_code": 0},
+                             "attempt": 1, "exec": {"seconds": 0.0}}]}))
+            # The ack piggy-backs exactly one next task.
+            ack = peer.recv_until(MessageType.RESULT_ACK)
+            assert len(ack.payload["tasks"]) == 1
+            [settled] = [f for f in futures
+                         if f.task_id == entry["task"]["task_id"]]
+            assert settled.result(timeout=5.0).ok
         finally:
             peer.close()
             client.close()
@@ -136,7 +137,7 @@ def test_advertised_depth_is_capped():
         futures = client.submit(_sleep_tasks(2 * MAX_PIPELINE_DEPTH, "cap"))
         peer = RawPeer(dispatcher.address)
         try:
-            _register_pipelined(peer, "cap-exec", 10_000)
+            peer.register("cap-exec", pipeline=10_000)
             peer.send(Message(MessageType.GET_WORK, sender="cap-exec"))
             work = peer.recv_until(MessageType.WORK)
             assert len(work.payload["tasks"]) == MAX_PIPELINE_DEPTH

@@ -21,7 +21,7 @@ from repro.live import (
     task_to_dict,
 )
 from repro.net.message import Message, MessageType
-from repro.net.wire import MAX_FRAME_BYTES, FrameReader, encode_frame
+from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC, FrameReader, encode_message_v4
 from repro.types import DataLocation, DataRef, TaskResult, TaskSpec
 
 
@@ -129,17 +129,25 @@ def test_send_after_close_raises():
 # ---------------------------------------------------------------------------
 def _sample_frame(key=None) -> bytes:
     msg = Message(MessageType.NOTIFY, sender="fuzz", payload={"n": 17, "s": "abc"})
-    return encode_frame(msg.to_dict(), key=key)
+    return encode_message_v4(msg, key=key)
+
+
+def _raw_frame(head: bytes, body_len=None) -> bytes:
+    """An unsigned NOTIFY frame around an arbitrary head (no JSON check)."""
+    body = struct.pack(">I", len(head)) + head
+    length = len(body) if body_len is None else body_len
+    return struct.pack(">BBBBI", V4_MAGIC, 4, 14, 0, length) + body
 
 
 def test_fuzz_mutated_signed_frames_always_raise_protocol_error():
-    # Any single-byte mutation of a signed frame body changes content
-    # under the signature: the reader must reject every one of them.
+    # Any single-byte mutation of a signed frame body or trailer
+    # changes content under the signature: the reader must reject
+    # every one of them.
     rng = random.Random(0xFA1C07)
     frame = _sample_frame(key=b"secret")
     for _ in range(300):
         mutated = bytearray(frame)
-        index = rng.randrange(4, len(frame))
+        index = rng.randrange(8, len(frame))
         mutated[index] ^= rng.randrange(1, 256)
         reader = FrameReader(key=b"secret")
         with pytest.raises(ProtocolError):
@@ -155,7 +163,7 @@ def test_fuzz_mutations_never_escape_the_protocol_error_contract():
     frame = _sample_frame()
     for _ in range(300):
         mutated = bytearray(frame)
-        index = rng.randrange(4, len(frame))
+        index = rng.randrange(len(frame))
         mutated[index] ^= rng.randrange(1, 256)
         reader = FrameReader()
         try:
@@ -176,20 +184,17 @@ def test_truncated_frames_are_inert_and_resumable():
 
 
 def test_corrupted_hmac_signature_raises_security_error():
-    import json
-
-    envelope = json.loads(_sample_frame(key=b"secret")[4:])
-    envelope["sig"] = "0" * 64
-    body = json.dumps(envelope).encode()
+    frame = _sample_frame(key=b"secret")
+    forged = frame[:-32] + b"\x00" * 32  # the HMAC trailer
     reader = FrameReader(key=b"secret")
     with pytest.raises(SecurityError):
-        list(reader.feed(struct.pack(">I", len(body)) + body))
+        list(reader.feed(forged))
 
 
 def test_oversized_advertised_length_rejected():
     reader = FrameReader()
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"junk"))
+        list(reader.feed(_raw_frame(b"junk", body_len=MAX_FRAME_BYTES + 1)))
 
 
 def _assert_dispatcher_still_serves(dispatcher: LiveDispatcher) -> None:
@@ -203,11 +208,12 @@ def _assert_dispatcher_still_serves(dispatcher: LiveDispatcher) -> None:
 @pytest.mark.parametrize(
     "hostile_bytes",
     [
-        struct.pack(">I", MAX_FRAME_BYTES + 1) + b"junk",  # oversized header
-        struct.pack(">I", 8) + b"\xff" * 8,  # invalid UTF-8 body
-        struct.pack(">I", 4) + b"}{!(",  # invalid JSON body
+        _raw_frame(b"junk", body_len=MAX_FRAME_BYTES + 1),  # oversized header
+        _raw_frame(b"\xff" * 8),  # invalid UTF-8 head
+        _raw_frame(b"}{!("),  # invalid JSON head
+        struct.pack(">I", 4) + b"}{!(",  # no frame magic
     ],
-    ids=["oversized", "non-utf8", "bad-json"],
+    ids=["oversized", "non-utf8", "bad-json", "no-magic"],
 )
 def test_hostile_frames_drop_session_but_not_server(hostile_bytes):
     # A garbage stream must cost its own session only: the reader

@@ -58,8 +58,7 @@ class TestTruePositive:
         detector exists for.  Must surface on /healthz and /metrics."""
         plan = FaultPlan(seed=7, drop_rate=1.0, drop_types={"NOTIFY"},
                          roles=("executor",))
-        falkon = LocalFalkon(executors=2, fault_plan=plan,
-                             wire_binary=False, stall_after=0.4,
+        falkon = LocalFalkon(executors=2, fault_plan=plan, stall_after=0.4,
                              heartbeat_interval=0.05, http_port=0)
         try:
             falkon.submit(

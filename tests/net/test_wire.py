@@ -1,19 +1,14 @@
 """Unit and property tests for the wire codec and message vocabulary."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SecurityError
-from repro.net import (
-    FrameReader,
-    Message,
-    MessageType,
-    decode_frame,
-    encode_frame,
-    sign_payload,
-    verify_payload,
-)
+from repro.net import FrameReader, Message, MessageType, encode_message_v4
+from repro.net.wire import MAX_FRAME_BYTES, V4_MAGIC
 
 KEY = b"shared-secret"
 
@@ -25,87 +20,101 @@ json_values = st.recursive(
 )
 
 
+def frame(payload, key=None):
+    """One SUBMIT frame carrying *payload*."""
+    return encode_message_v4(Message(MessageType.SUBMIT, sender="t", payload=payload),
+                             key=key)
+
+
+def decode_one(data, key=None):
+    """The payload of the single complete frame in *data*."""
+    reader = FrameReader(key=key)
+    messages = list(reader.feed(data))
+    if len(messages) != 1 or reader.pending_bytes:
+        raise ProtocolError(f"expected exactly one complete frame, got {len(messages)}")
+    return messages[0].payload
+
+
+def payloads_of(messages):
+    return [m.payload for m in messages]
+
+
 def test_roundtrip_plain():
     payload = {"type": "submit", "tasks": [1, 2, 3]}
-    assert decode_frame(encode_frame(payload)) == payload
+    assert decode_one(frame(payload)) == payload
 
 
 def test_roundtrip_signed():
     payload = {"hello": "world"}
-    frame = encode_frame(payload, key=KEY)
-    assert decode_frame(frame, key=KEY) == payload
+    assert decode_one(frame(payload, key=KEY), key=KEY) == payload
 
 
 def test_tampered_signed_frame_rejected():
-    frame = bytearray(encode_frame({"amount": 1}, key=KEY))
-    # Flip a byte inside the JSON body (after the 4-byte length prefix).
-    frame[-2] ^= 0x01
+    data = bytearray(frame({"amount": 1}, key=KEY))
+    # Flip a byte inside the head JSON (after the 8-byte header).
+    data[12] ^= 0x01
     with pytest.raises((SecurityError, ProtocolError)):
-        decode_frame(bytes(frame), key=KEY)
+        decode_one(bytes(data), key=KEY)
 
 
-def test_signed_frame_read_without_key_exposes_envelope():
-    frame = encode_frame({"x": 1}, key=KEY)
-    envelope = decode_frame(frame)  # no key: envelope visible, body intact
-    assert verify_payload(envelope, KEY) == {"x": 1}
+def test_signed_frame_rejected_without_key():
+    with pytest.raises(SecurityError):
+        decode_one(frame({"x": 1}, key=KEY))
 
 
 def test_wrong_key_rejected():
-    frame = encode_frame({"x": 1}, key=KEY)
     with pytest.raises(SecurityError):
-        decode_frame(frame, key=b"other-key")
+        decode_one(frame({"x": 1}, key=KEY), key=b"other-key")
 
 
 def test_missing_envelope_rejected():
+    # A keyed reader refuses a frame without its signature trailer.
     with pytest.raises(SecurityError):
-        verify_payload({"body": 1}, KEY)
-    with pytest.raises(SecurityError):
-        verify_payload("not-a-dict", KEY)
-
-
-def test_sign_payload_is_deterministic_and_order_insensitive():
-    assert sign_payload({"a": 1, "b": 2}, KEY) == sign_payload({"b": 2, "a": 1}, KEY)
+        decode_one(frame({"body": 1}), key=KEY)
 
 
 def test_frame_reader_handles_fragmentation():
     payloads = [{"n": i} for i in range(5)]
-    stream = b"".join(encode_frame(p) for p in payloads)
+    stream = b"".join(frame(p) for p in payloads)
     reader = FrameReader()
     got = []
     # Feed one byte at a time: worst-case TCP fragmentation.
     for i in range(len(stream)):
         got.extend(reader.feed(stream[i : i + 1]))
-    assert got == payloads
+    assert payloads_of(got) == payloads
     assert reader.pending_bytes == 0
 
 
 def test_frame_reader_handles_coalescing():
     payloads = [{"n": i} for i in range(10)]
-    stream = b"".join(encode_frame(p) for p in payloads)
+    stream = b"".join(frame(p) for p in payloads)
     reader = FrameReader()
-    assert list(reader.feed(stream)) == payloads
+    assert payloads_of(reader.feed(stream)) == payloads
 
 
 def test_frame_reader_rejects_oversized_header():
-    import struct
-
     reader = FrameReader()
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", 2**31)))
+        list(reader.feed(struct.pack(">BBBBI", V4_MAGIC, 4, 4, 0, 2**31)))
+
+
+def test_frame_reader_rejects_bad_magic():
+    reader = FrameReader()
+    with pytest.raises(ProtocolError):
+        list(reader.feed(struct.pack(">I", 5) + b"hello"))
+    # No boundary to resync on: the garbage is dropped, not re-parsed.
+    assert reader.pending_bytes == 0
+    assert payloads_of(reader.feed(frame({"n": 1}))) == [{"n": 1}]
 
 
 def test_frame_reader_oversized_frame_does_not_poison_stream():
-    import struct
-
-    from repro.net.wire import MAX_FRAME_BYTES
-
-    before = encode_frame({"n": "before"})
+    before = frame({"n": "before"})
     oversized_len = MAX_FRAME_BYTES + 1
-    after = encode_frame({"n": "after"})
+    after = frame({"n": "after"})
     reader = FrameReader()
-    assert list(reader.feed(before)) == [{"n": "before"}]
+    assert payloads_of(reader.feed(before)) == [{"n": "before"}]
     with pytest.raises(ProtocolError):
-        list(reader.feed(struct.pack(">I", oversized_len)))
+        list(reader.feed(struct.pack(">BBBBI", V4_MAGIC, 4, 4, 0, oversized_len)))
     # Stream the advertised-but-bogus body in chunks, with the next
     # good frame appended mid-way: the reader must discard exactly the
     # oversized body, then resynchronise and parse the good frame.
@@ -113,49 +122,49 @@ def test_frame_reader_oversized_frame_does_not_poison_stream():
     got = []
     got.extend(reader.feed(junk[: oversized_len // 2]))
     got.extend(reader.feed(junk[oversized_len // 2 :] + after))
-    assert got == [{"n": "after"}]
+    assert payloads_of(got) == [{"n": "after"}]
     assert reader.pending_bytes == 0
 
 
 def test_frame_reader_rejects_bad_json():
-    import struct
-
-    body = b"{not json"
+    head = b"{not json"
+    body = struct.pack(">I", len(head)) + head
     with pytest.raises(ProtocolError):
-        list(FrameReader().feed(struct.pack(">I", len(body)) + body))
+        list(FrameReader().feed(struct.pack(">BBBBI", V4_MAGIC, 4, 4, 0, len(body)) + body))
 
 
 def test_decode_frame_rejects_partial():
-    frame = encode_frame({"a": 1})
+    data = frame({"a": 1})
     with pytest.raises(ProtocolError):
-        decode_frame(frame[:-1])
+        decode_one(data[:-1])
     with pytest.raises(ProtocolError):
-        decode_frame(frame + frame)
+        decode_one(data + data)
 
 
 @given(json_values)
-def test_roundtrip_property_plain(payload):
-    assert decode_frame(encode_frame(payload)) == payload
+def test_roundtrip_property_plain(value):
+    assert decode_one(frame({"v": value})) == {"v": value}
 
 
 @given(json_values)
-def test_roundtrip_property_signed(payload):
-    assert decode_frame(encode_frame(payload, key=KEY), key=KEY) == payload
+def test_roundtrip_property_signed(value):
+    assert decode_one(frame({"v": value}, key=KEY), key=KEY) == {"v": value}
 
 
 @given(st.lists(json_values, min_size=1, max_size=8), st.integers(1, 64))
-def test_fragmented_stream_property(payloads, chunk):
-    stream = b"".join(encode_frame(p) for p in payloads)
+def test_fragmented_stream_property(values, chunk):
+    payloads = [{"v": v} for v in values]
+    stream = b"".join(frame(p) for p in payloads)
     reader = FrameReader()
     got = []
     for i in range(0, len(stream), chunk):
         got.extend(reader.feed(stream[i : i + chunk]))
-    assert got == payloads
+    assert payloads_of(got) == payloads
 
 
 def test_message_roundtrip():
     msg = Message(MessageType.SUBMIT, sender="client-1", payload={"tasks": []})
-    parsed = Message.from_dict(msg.to_dict())
+    [parsed] = FrameReader().feed(encode_message_v4(msg))
     assert parsed.type is MessageType.SUBMIT
     assert parsed.sender == "client-1"
     assert parsed.msg_id == msg.msg_id
@@ -167,6 +176,8 @@ def test_message_ids_increase():
     assert b.msg_id > a.msg_id
 
 
-def test_message_from_dict_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        Message.from_dict({"type": "bogus"})
+def test_message_rejects_unknown_wire_code():
+    data = bytearray(frame({}))
+    data[2] = 0xEE  # the header's message-type code
+    with pytest.raises(ProtocolError):
+        decode_one(bytes(data))
