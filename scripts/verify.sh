@@ -62,7 +62,7 @@ python -m repro bench --quick --flight
 
 # Journal overhead gate: crash-safe journalling (docs/RELIABILITY.md)
 # must cost < 10% of sleep-0 throughput.  Paired interleaved rounds,
-# gated on the best adjacent pair; lands in BENCH_journal.json.
+# gated on the median adjacent pair (unclamped); lands in BENCH_journal.json.
 echo "== journal overhead gate =="
 python -m repro bench --quick --journal
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import statistics
 import sys
 import time
 from typing import Optional, Sequence
@@ -1342,17 +1343,37 @@ def _merge_json_record(path: str, updates: dict) -> None:
         fh.write("\n")
 
 
+def _paired_overhead(pairs: list[tuple[float, float]], variant: str) -> dict:
+    """The overhead record of interleaved ``(base, variant)`` rate pairs.
+
+    Each adjacent pair gives ``1 - variant/base``; the gate reads the
+    median of those, unclamped, so a noisy pair can count against the
+    variant as well as for it and the most favourable pair no longer
+    decides alone.  Every pair is kept in the record next to the median
+    (rates are medians too, not best-of).
+    """
+    overheads = [1.0 - v / b for b, v in pairs]
+    return {
+        "base_tasks_per_s": statistics.median(b for b, _ in pairs),
+        f"{variant}_tasks_per_s": statistics.median(v for _, v in pairs),
+        "pairs": [{"base_tasks_per_s": b, f"{variant}_tasks_per_s": v,
+                   "overhead_fraction": o}
+                  for (b, v), o in zip(pairs, overheads)],
+        "overhead_fraction": statistics.median(overheads),
+        "overhead_estimator": "median of adjacent pairs, unclamped",
+    }
+
+
 def _bench_telemetry(args, n_tasks: int, one_round) -> int:
     """Measure what the live telemetry plane costs, and gate it.
 
     Interleaved A/B rounds (base, telemetry, base, telemetry, ...) so
     machine-load drift hits both configurations equally; the gate
     compares each telemetry round against its *adjacent* base round
-    and takes the best pairing, exactly like the journal bench: the
-    first in-process round is measurably faster than every later one
-    (allocator/GC state), so an unpaired best-vs-best ratio charges
-    that decay to the telemetry plane and inflates the overhead by
-    more than the plane itself costs.
+    and reads the median pair (:func:`_paired_overhead`): the first
+    in-process round is measurably faster than every later one
+    (allocator/GC state), so an unpaired best-vs-best ratio would
+    charge that decay to the telemetry plane.
     """
     # The full telemetry plane as a user would turn it on: HTTP status
     # surface up, executors streaming heartbeat stats, the monitor
@@ -1365,13 +1386,9 @@ def _bench_telemetry(args, n_tasks: int, one_round) -> int:
         base_rate = one_round(2 * i)["tasks_per_s"]
         telem_rate = one_round(2 * i + 1, **telemetry_kwargs)["tasks_per_s"]
         pairs.append((base_rate, telem_rate))
-    overhead = min(max(0.0, 1.0 - t / b) for b, t in pairs)
-    base_best = max(b for b, _ in pairs)
-    telem_best = max(t for _, t in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "telemetry_tasks_per_s": telem_best,
-        "overhead_fraction": overhead,
+    record = _paired_overhead(pairs, "telemetry")
+    overhead = record["overhead_fraction"]
+    record.update({
         "budget_fraction": args.budget,
         "n_tasks": n_tasks,
         "executors": args.executors,
@@ -1380,15 +1397,15 @@ def _bench_telemetry(args, n_tasks: int, one_round) -> int:
         "telemetry_config": {"heartbeat_interval": 0.25, "http": True,
                              "events": False},
         "quick": args.quick,
-    }
+    })
     _merge_json_record(args.out, record)
     print(f"telemetry overhead bench ({n_tasks} sleep-0 tasks, "
           f"{args.executors} executors, pipeline depth {args.pipeline}, "
           f"{rounds} interleaved round pairs):")
-    print(f"  base      {base_best:,.0f} tasks/s")
-    print(f"  telemetry {telem_best:,.0f} tasks/s "
+    print(f"  base      {record['base_tasks_per_s']:,.0f} tasks/s (median)")
+    print(f"  telemetry {record['telemetry_tasks_per_s']:,.0f} tasks/s "
           f"(heartbeat stats @0.25s + HTTP surface)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
+    print(f"  overhead  {overhead:.1%} median adjacent pair "
           f"(budget {args.budget:.0%}) -> {args.out}")
     if overhead > args.budget:
         print(f"  telemetry plane exceeds its overhead budget "
@@ -1419,13 +1436,9 @@ def _bench_flight(args, n_tasks: int, one_round) -> int:
         base_rate = one_round(2 * i, flight=False)["tasks_per_s"]
         flight_rate = one_round(2 * i + 1, **variant_kwargs)["tasks_per_s"]
         pairs.append((base_rate, flight_rate))
-    overhead = min(max(0.0, 1.0 - f / b) for b, f in pairs)
-    base_best = max(b for b, _ in pairs)
-    flight_best = max(f for _, f in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "flight_tasks_per_s": flight_best,
-        "overhead_fraction": overhead,
+    record = _paired_overhead(pairs, "flight")
+    overhead = record["overhead_fraction"]
+    record.update({
         "budget_fraction": args.budget,
         "n_tasks": n_tasks,
         "executors": args.executors,
@@ -1434,15 +1447,16 @@ def _bench_flight(args, n_tasks: int, one_round) -> int:
         "variant_config": {"heartbeat_interval": 0.25, "http": True,
                            "flight": True, "watchdogs": True},
         "quick": args.quick,
-    }
+    })
     _merge_json_record(args.out, {"flight": record})
     print(f"flight recorder overhead bench ({n_tasks} sleep-0 tasks, "
           f"{args.executors} executors, pipeline depth {args.pipeline}, "
           f"{rounds} interleaved round pairs):")
-    print(f"  base            {base_best:,.0f} tasks/s (recorder off, no telemetry)")
-    print(f"  flight+telemetry {flight_best:,.0f} tasks/s "
+    print(f"  base            {record['base_tasks_per_s']:,.0f} tasks/s "
+          f"(median; recorder off, no telemetry)")
+    print(f"  flight+telemetry {record['flight_tasks_per_s']:,.0f} tasks/s "
           f"(recorder + watchdogs + heartbeat stats + HTTP)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
+    print(f"  overhead  {overhead:.1%} median adjacent pair "
           f"(budget {args.budget:.0%}) -> {args.out}")
     if overhead > args.budget:
         print(f"  flight recorder exceeds the combined observability budget "
@@ -1458,11 +1472,10 @@ def _bench_journal(args, n_tasks: int, one_round) -> int:
     Same paired-interleaved shape as the telemetry bench: (plain,
     journalled, plain, journalled, ...) rounds so machine-load drift
     hits both configurations equally.  The gate compares each
-    journalled round against its *adjacent* plain round and takes the
-    best pairing: cross-invocation CPU drift inflates an unpaired
-    best-vs-best ratio by more than the journal itself costs, whereas
-    the best adjacent pair bounds the true overhead from above with
-    far less variance.  Each journalled round writes into a fresh
+    journalled round against its *adjacent* plain round and reads the
+    median pair (:func:`_paired_overhead`): cross-invocation CPU drift
+    inflates an unpaired best-vs-best ratio by more than the journal
+    itself costs.  Each journalled round writes into a fresh
     temporary directory — this measures steady-state WAL cost
     (group-committed SUBMITs + windowed dispatch/result/ack records +
     fsync batching), not recovery.
@@ -1481,31 +1494,26 @@ def _bench_journal(args, n_tasks: int, one_round) -> int:
         finally:
             shutil.rmtree(journal_dir, ignore_errors=True)
         pairs.append((base_rate, journal_rate))
-    overhead = min(max(0.0, 1.0 - j / b) for b, j in pairs)
-    base_best = max(b for b, _ in pairs)
-    journal_best = max(j for _, j in pairs)
-    record = {
-        "base_tasks_per_s": base_best,
-        "journal_tasks_per_s": journal_best,
-        "pairs": [{"base_tasks_per_s": b, "journal_tasks_per_s": j} for b, j in pairs],
-        "overhead_fraction": overhead,
+    record = _paired_overhead(pairs, "journal")
+    overhead = record["overhead_fraction"]
+    record.update({
         "budget_fraction": args.journal_budget,
         "n_tasks": n_tasks,
         "executors": args.executors,
         "pipeline": args.pipeline,
         "rounds": rounds,
         "quick": args.quick,
-    }
+    })
     with open(args.journal_out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"journal overhead bench ({n_tasks} sleep-0 tasks, "
           f"{args.executors} executors, pipeline depth {args.pipeline}, "
           f"{rounds} interleaved round pairs):")
-    print(f"  plain     {base_best:,.0f} tasks/s")
-    print(f"  journaled {journal_best:,.0f} tasks/s "
+    print(f"  plain     {record['base_tasks_per_s']:,.0f} tasks/s (median)")
+    print(f"  journaled {record['journal_tasks_per_s']:,.0f} tasks/s "
           f"(group-committed WAL + fsync batching)")
-    print(f"  overhead  {overhead:.1%} best adjacent pair "
+    print(f"  overhead  {overhead:.1%} median adjacent pair "
           f"(budget {args.journal_budget:.0%}) -> {args.journal_out}")
     if overhead > args.journal_budget:
         print(f"  journal exceeds its overhead budget "

@@ -72,7 +72,10 @@ class TaskFuture:
         self._result: Optional[TaskResult] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
-        self._callbacks: list[Callable[["TaskFuture"], None]] = []
+        #: Created on the first add_done_callback and dropped at
+        #: settle: most futures never get a callback, and a list per
+        #: future is one more object for the cyclic collector to walk.
+        self._callbacks: Optional[list[Callable[["TaskFuture"], None]]] = None
 
     # -- state ----------------------------------------------------------------
     def done(self) -> bool:
@@ -141,7 +144,10 @@ class TaskFuture:
         """
         with self._cond:
             if not self._done:
-                self._callbacks.append(fn)
+                if self._callbacks is None:
+                    self._callbacks = [fn]
+                else:
+                    self._callbacks.append(fn)
                 return
         self._invoke(fn)
 
@@ -155,8 +161,8 @@ class TaskFuture:
         with self._cond:
             self._done = True
             self._cond.notify_all()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
             self._invoke(fn)
 
     def _fulfill(self, result: TaskResult) -> None:
@@ -393,11 +399,8 @@ class LiveClient:
         for _attempt in range(self.max_submit_retries + 1):
             self._submit_ack.clear()
             self._submit_reply = {}
-            # One spec-dict list serves every framing: on a v4
-            # connection the frame head carries it without the
-            # canonicalising sort, and the dispatcher keeps the parsed
-            # dicts verbatim for re-dispatch (per-spec pre-encoded
-            # blobs were measured slower — see docs/PERFORMANCE.md).
+            # Sparse spec dicts (defaults omitted) ride the frame head
+            # as-is; a resubmission reuses the same list.
             self._conn.send(
                 Message(MessageType.SUBMIT, sender=self.epr or "client",
                         payload={"tasks": specs})
@@ -531,7 +534,7 @@ class LiveClient:
                 future._done = True
                 if future._callbacks:
                     fire.append((future, future._callbacks))
-                    future._callbacks = []
+                    future._callbacks = None
             self._future_cond.notify_all()
         for future, callbacks in fire:
             for fn in callbacks:

@@ -26,16 +26,21 @@ Lock map (replaces the old single RLock; see ``docs/PERFORMANCE.md``):
 ``_records_lock``         ``_records`` dict membership only
 ``_exec_lock``            ``_executors`` dict membership only
 ``_client_lock``          ``_clients`` dict
-``record.lock``           one task record's mutable state
+``record.lock``           task records' mutable state: one of
+                          ``RECORD_LOCK_STRIPES`` striped locks, picked
+                          by task-id hash and shared by every record
+                          that hashes to it
 ``executor.lock``         one executor session's busy set / liveness
 ========================  ==================================================
 
 Ordering discipline (deadlock freedom): ``record.lock`` may be taken
 first and ``_queue_lock`` or ``executor.lock`` inside it; those two
 are leaves — no other lock is ever acquired while holding them, and
-no path takes two record locks or two executor locks at once.  SUBMIT,
-GET_WORK and RESULT therefore contend only where they truly share
-state (the ready queue), not on one global monitor.
+no path takes two record locks or two executor locks at once.  That
+last rule is what makes striping safe: two records may share a stripe,
+and a path that held one record lock while taking another could wait
+on itself.  SUBMIT, GET_WORK and RESULT therefore contend only where
+they truly share state (the ready queue), not on one global monitor.
 
 Liveness (the fault-tolerance leg): executors HEARTBEAT on an agreed
 interval; a monitor thread declares an executor dead once it has been
@@ -104,7 +109,6 @@ from repro.live.ioloop import IOLoop, IOLoopGroup, create_reuseport_servers
 from repro.live.journal import (
     Journal,
     RESULT_DEFAULTS,
-    SPEC_DEFAULTS,
     recover as recover_journal,
     strip_defaults,
 )
@@ -143,6 +147,11 @@ __all__ = ["LiveDispatcher", "PEER_PREFIX"]
 #: Sanity cap on an executor's advertised pipeline depth.
 MAX_PIPELINE_DEPTH = 64
 
+#: Record locks in the dispatcher's striped pool (a power of two).  A
+#: lock per record was one more object per task for the cyclic
+#: collector to walk; a fixed pool costs nothing per task.
+RECORD_LOCK_STRIPES = 64
+
 #: Identity prefix for peer shards: the donor registers a thief as a
 #: pseudo-executor ``peer:<shard-id>`` and the thief records the donor
 #: as pseudo-client ``peer:<shard-id>`` on stolen records.
@@ -166,11 +175,10 @@ JOURNAL_STALE_DEGRADED = 5.0
 
 
 def _journal_spec(spec: TaskSpec) -> dict:
-    """A task spec as journalled: default fields and the task_id
-    stripped (the record's ``id`` carries the latter; recovery
-    restores both)."""
-    data = strip_defaults(task_to_dict(spec), SPEC_DEFAULTS)
-    data.pop("task_id", None)
+    """A task spec as journalled: its sparse wire dict without the
+    task_id (the record's ``id`` carries it; recovery restores it)."""
+    data = task_to_dict(spec)
+    del data["task_id"]
     return data
 
 
@@ -181,21 +189,22 @@ def _journal_result(result: TaskResult) -> dict:
     return data
 
 
-def _journal_spec_wire(spec: TaskSpec, raw: Optional[dict]) -> dict:
-    """Like :func:`_journal_spec`, but strips from the wire dict the
-    spec arrived as when one is in hand — the admission path already
-    holds it, so journalling costs no re-serialisation pass."""
-    if raw is None:
-        return _journal_spec(spec)
-    data = strip_defaults(raw, SPEC_DEFAULTS)
-    data.pop("task_id", None)
-    return data
-
-
 @dataclass
 class _LiveRecord:
+    """One task's dispatcher-side state.
+
+    Every task the dispatcher knows keeps one of these alive until it
+    is evicted, so its fields are kept to objects the cyclic collector
+    need not walk: the spec is held once (as a :class:`TaskSpec`; its
+    wire dict is rebuilt per dispatch), and ``lock`` is a shared stripe
+    of the dispatcher's pool, not a lock of its own.
+    """
+
     spec: TaskSpec
     client_id: str
+    #: Guards every mutable field below: the record's stripe of the
+    #: dispatcher's lock pool (see the module docstring's lock map).
+    lock: threading.Lock = field(repr=False)
     state: TaskState = TaskState.QUEUED
     attempts: int = 0
     executor_id: str = ""
@@ -207,13 +216,6 @@ class _LiveRecord:
     dispatch_mode: str = ""
     #: Wire form of the trace context riding this attempt's WORK frame.
     trace_wire: Optional[dict] = None
-    #: The spec's wire dict, captured verbatim from the client's
-    #: SUBMIT payload (else built lazily on first dispatch), so a
-    #: WORK/piggyback frame never rebuilds it — the C JSON encoder
-    #: re-serialises the shared dict at frame speed.  (Pre-encoded
-    #: byte splicing was measured slower: many small Python-level
-    #: ops lose to one big C ``dumps``; see docs/PERFORMANCE.md.)
-    spec_dict: Optional[dict] = None
     timeline: TaskTimeline = field(default_factory=TaskTimeline)
     result: Optional[TaskResult] = None
     #: Whether the settled result's CLIENT_NOTIFY left this process
@@ -224,8 +226,6 @@ class _LiveRecord:
     #: eventual result must echo (the donor dedupes by attempt).
     origin_shard: str = ""
     origin_attempt: int = 0
-    #: Guards every mutable field above (fine-grained locking).
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class _ExecutorSession:
@@ -385,6 +385,8 @@ class LiveDispatcher:
         self._records_lock = TimedLock()
         self._exec_lock = TimedLock()
         self._client_lock = threading.Lock()
+        self._record_locks = tuple(
+            threading.Lock() for _ in range(RECORD_LOCK_STRIPES))
         self._queue: deque[str] = deque()  # task ids
         self._records: dict[str, _LiveRecord] = {}
         self._executors: dict[str, _ExecutorSession] = {}
@@ -597,6 +599,11 @@ class LiveDispatcher:
         """Seconds since dispatcher start (the span/timeline clock)."""
         return time.monotonic() - self._started
 
+    def _new_record(self, spec: TaskSpec, client_id: str) -> _LiveRecord:
+        """A QUEUED record for *spec*, locked by its task id's stripe."""
+        lock = self._record_locks[hash(spec.task_id) & (RECORD_LOCK_STRIPES - 1)]
+        return _LiveRecord(spec=spec, client_id=client_id, lock=lock)
+
     # Back-compat read views over the registry counters.
     @property
     def tasks_accepted(self) -> int:
@@ -702,7 +709,7 @@ class LiveDispatcher:
                 spec = task_from_dict(task.spec)
             except (KeyError, TypeError, ValueError):
                 continue  # a record from a future/foreign spec version
-            record = _LiveRecord(spec=spec, client_id=task.client_id)
+            record = self._new_record(spec, task.client_id)
             record.attempts = task.attempts
             record.acked = task.acked
             if task.origin is not None:
@@ -1340,8 +1347,7 @@ class LiveDispatcher:
             session.conn.send(Message(MessageType.ERROR, payload={"error": "not a client"}))
             return
         client_id = role[1]
-        raw_specs = msg.payload.get("tasks", ())
-        tasks = [task_from_dict(t) for t in raw_specs]
+        tasks = [task_from_dict(t) for t in msg.payload.get("tasks", ())]
         # Admission control: the whole bundle is accepted or refused
         # atomically — partial acceptance would force clients to diff
         # their bundles against an ack they cannot correlate.
@@ -1379,22 +1385,17 @@ class LiveDispatcher:
             with record.lock:
                 if record.result is not None:
                     settled_dupes.append(record.result)
-        # The wire dict each spec arrived as, kept verbatim: dispatch
-        # re-serialises this shared dict instead of rebuilding it, and
-        # the journal strips its defaults without a task_to_dict pass.
-        dict_by_id = {spec.task_id: raw for spec, raw in zip(tasks, raw_specs)
-                      if isinstance(raw, dict)}
         journaled = self.journal is not None and bool(fresh)
         if journaled:
             # Durable-before-accept: one group commit covers the bundle
             # and runs before any dispatcher state changes, so a
             # SUBMIT_ACK is a promise the tasks survive a crash.  Specs
-            # are stored default-stripped and the whole bundle is
-            # buffered under one lock — the WAL cost of a submit is a
-            # few dict keys per task, not a serialisation pass.
+            # are stored as their sparse wire dicts and the whole
+            # bundle is buffered under one lock — the WAL cost of a
+            # submit is a few dict keys per task.
             self.journal.append_many([
                 {"k": "submit", "id": spec.task_id,
-                 "spec": _journal_spec_wire(spec, dict_by_id.get(spec.task_id)),
+                 "spec": _journal_spec(spec),
                  "client": client_id}
                 for spec in fresh
             ])
@@ -1404,8 +1405,7 @@ class LiveDispatcher:
             self.journal.request_sync()
         new_records: list[_LiveRecord] = []
         for spec in fresh:
-            record = _LiveRecord(spec=spec, client_id=client_id)
-            record.spec_dict = dict_by_id.get(spec.task_id)
+            record = self._new_record(spec, client_id)
             record.timeline.submitted = now
             new_records.append(record)
         if journaled and not self.journal.commit():
@@ -1740,7 +1740,7 @@ class LiveDispatcher:
                 if stored is not None:
                     resend.append((record.client_id, stored))
                 continue
-            record = _LiveRecord(spec=spec, client_id=client_id)
+            record = self._new_record(spec, client_id)
             record.origin_shard = donor_shard
             record.origin_attempt = attempt
             record.timeline.submitted = now
@@ -1939,6 +1939,11 @@ class LiveDispatcher:
         # WAL records batch identically (one buffer-lock round trip
         # per frame; same flush window, so durability is unchanged).
         span_rows: list[tuple] = []
+        # Span attrs shared by every row of the frame that can share
+        # them: each task's span trace keeps its attrs alive, so a
+        # tuple per row would be three more objects per task.
+        executor_attr = ("executor", executor_id)
+        result_attrs: dict[str, tuple] = {}
         journal_rows: Optional[list[dict]] = (
             [] if self.journal is not None else None)
         for (result_payload, echoed_attempt, exec_info), result, record in zip(
@@ -1967,14 +1972,17 @@ class LiveDispatcher:
                 outcome = ("ok" if result.ok else
                            "fail" if record.attempts > self.max_retries
                            else "retry")
+                attrs = result_attrs.get(outcome)
+                if attrs is None:
+                    attrs = result_attrs[outcome] = (executor_attr,
+                                                     ("outcome", outcome))
                 span_rows.append(
                     (result.task_id, "exec", now - exec_seconds, now,
                      record.attempts,
-                     (("executor", executor_id), ("seconds", exec_seconds))))
+                     (executor_attr, ("seconds", exec_seconds))))
                 span_rows.append(
                     (result.task_id, "result", self._now(), None,
-                     record.attempts,
-                     (("executor", executor_id), ("outcome", outcome))))
+                     record.attempts, attrs))
                 notify_payload = self._settle(record, result, span_rows,
                                               journal_rows)
                 if notify_payload is not None:
@@ -2057,6 +2065,9 @@ class LiveDispatcher:
         # WAL records defer the same way (same flush window either
         # way — deferring within one handler changes no durability).
         span_batch: list[tuple[_LiveRecord, tuple]] = []
+        # One attrs tuple for every notify span of the burst (each
+        # task's trace keeps its attrs alive).
+        notify_attrs = (("executor", executor.executor_id), ("mode", mode))
         journal_batch: Optional[list[dict]] = (
             [] if self.journal is not None else None)
         while len(claimed) < limit:
@@ -2078,8 +2089,8 @@ class LiveDispatcher:
                 with record.lock:
                     if record.state is not TaskState.QUEUED:
                         continue  # a duplicate queue entry from a replay path
-                    self._mark_dispatched(record, executor, mode, span_batch,
-                                          journal_batch)
+                    self._mark_dispatched(record, executor, mode, notify_attrs,
+                                          span_batch, journal_batch)
                 task_id = record.spec.task_id
                 undo = False
                 with executor.lock:
@@ -2123,25 +2134,14 @@ class LiveDispatcher:
             record.trace_wire = ctx.to_wire() if ctx is not None else None
 
     @staticmethod
-    def _spec_dict(record: _LiveRecord) -> dict:
-        """The task spec's wire dict, built at most once per task.
-
-        Benign race: two threads may both build; the results are
-        interchangeable and assignment is atomic, so no lock is taken.
-        """
-        data = record.spec_dict
-        if data is None:
-            data = task_to_dict(record.spec)
-            record.spec_dict = data
-        return data
-
-    def _task_payload(self, claimed: list[_LiveRecord]) -> dict:
+    def _task_payload(claimed: list[_LiveRecord]) -> dict:
         """The WORK/RESULT_ACK payload for *claimed*: a ``tasks`` list
         whose entries carry their own attempt and trace context.  Spec
-        dicts are the cached wire dicts — never rebuilt per frame."""
+        dicts are built per frame and dropped with it: a sparse sleep
+        spec is three keys, cheaper to rebuild than to keep alive."""
         return {"tasks": [
             {
-                "task": self._spec_dict(record),
+                "task": task_to_dict(record.spec),
                 "attempt": record.attempts,
                 "trace": record.trace_wire,
             }
@@ -2153,6 +2153,7 @@ class LiveDispatcher:
         record: _LiveRecord,
         executor: _ExecutorSession,
         mode: str,
+        span_attrs: tuple,
         span_rows: list[tuple["_LiveRecord", tuple]],
         journal_rows: Optional[list[dict]],
     ) -> None:
@@ -2177,8 +2178,7 @@ class LiveDispatcher:
         self.flight.record(fl.QUEUE_CLAIM, record.spec.task_id)
         span_rows.append((record, (
             record.spec.task_id, "notify", record.timeline.dispatched, None,
-            record.attempts,
-            (("executor", executor.executor_id), ("mode", mode)),
+            record.attempts, span_attrs,
         )))
         if journal_rows is not None:
             journal_rows.append({"k": "dispatch", "id": record.spec.task_id,
@@ -2213,17 +2213,19 @@ class LiveDispatcher:
         lock per task, twice per dispatch with "notify".
         """
         rows = []
+        attrs_by_mode: dict[str, tuple] = {}  # shared per frame, as in _on_result
         for record in records:
             with record.lock:
                 if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
                     record.delivered = True
                     now = self._now()
-                    rows.append((
-                        record.spec.task_id, "pull", now, None,
-                        record.attempts,
-                        (("executor", executor_id),
-                         ("mode", record.dispatch_mode)),
-                    ))
+                    mode = record.dispatch_mode
+                    attrs = attrs_by_mode.get(mode)
+                    if attrs is None:
+                        attrs = attrs_by_mode[mode] = (("executor", executor_id),
+                                                       ("mode", mode))
+                    rows.append((record.spec.task_id, "pull", now, None,
+                                 record.attempts, attrs))
                     self._h_dispatch.observe(now - record.timeline.submitted)
                     if self.events.enabled:
                         self.events.emit(ev.TASK_DISPATCH, record.spec.task_id,

@@ -58,64 +58,60 @@ def _ref_from_dict(data: dict[str, Any]) -> DataRef:
 
 
 def task_to_dict(task: TaskSpec) -> dict[str, Any]:
-    """Serialise a :class:`TaskSpec` for the wire."""
-    return {
+    """Serialise a :class:`TaskSpec` for the wire as a sparse dict.
+
+    ``task_id``, ``command`` and ``args`` are always present; every
+    other field is omitted while it holds its default (the keys and
+    values of :data:`repro.live.journal.SPEC_DEFAULTS`), and
+    :func:`task_from_dict` fills it back in.  A sleep-0 spec is
+    therefore three keys and one list, not ten keys and four lists —
+    fewer allocations per encode, per decode, and per byte on the
+    wire.  A journalled spec is this dict without its ``task_id``.
+    """
+    data: dict[str, Any] = {
         "task_id": task.task_id,
         "command": task.command,
         "args": list(task.args),
-        "working_dir": task.working_dir,
-        "env": [list(pair) for pair in task.env],
-        "duration": task.duration,
-        "reads": [_ref_to_dict(r) for r in task.reads],
-        "writes": [_ref_to_dict(r) for r in task.writes],
-        "runtime_estimate": task.runtime_estimate,
-        "stage": task.stage,
     }
+    if task.working_dir != ".":
+        data["working_dir"] = task.working_dir
+    if task.env:
+        data["env"] = [list(pair) for pair in task.env]
+    if task.duration:
+        data["duration"] = task.duration
+    if task.reads:
+        data["reads"] = [_ref_to_dict(r) for r in task.reads]
+    if task.writes:
+        data["writes"] = [_ref_to_dict(r) for r in task.writes]
+    if task.runtime_estimate is not None:
+        data["runtime_estimate"] = task.runtime_estimate
+    if task.stage:
+        data["stage"] = task.stage
+    return data
 
 
 def task_from_dict(data: dict[str, Any]) -> TaskSpec:
     """Parse a wire dict back into a :class:`TaskSpec`.
 
-    The empty-collection fast paths matter: this runs twice per task
-    (dispatcher admission, executor delivery) and the common spec has
-    no env/reads/writes — three generator round trips for nothing.
+    One path for sparse and dense dicts alike: a missing key takes the
+    field's default, so journal records, sparse wire specs and dense
+    dicts from older peers all decode the same way.
     """
-    try:
-        # Dense fast path: our own task_to_dict always emits every key,
-        # and subscripting beats ten bound-method .get() calls on a
-        # path that runs twice per task.
-        env = data["env"]
-        reads = data["reads"]
-        writes = data["writes"]
-        return TaskSpec(
-            task_id=data["task_id"],
-            command=data["command"],
-            args=tuple(data["args"]),
-            working_dir=data["working_dir"],
-            env=tuple(tuple(pair) for pair in env) if env else (),
-            duration=data["duration"],
-            reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
-            writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
-            runtime_estimate=data["runtime_estimate"],
-            stage=data["stage"],
-        )
-    except KeyError:
-        pass
-    # Sparse dict (journal records strip defaults): tolerate missing keys.
-    env = data.get("env")
-    reads = data.get("reads")
-    writes = data.get("writes")
+    get = data.get
+    env = get("env")
+    reads = get("reads")
+    writes = get("writes")
     return TaskSpec(
         task_id=data["task_id"],
-        command=data.get("command", "sleep"),
-        args=tuple(data.get("args", ())),
-        working_dir=data.get("working_dir", "."),
+        command=get("command", "sleep"),
+        args=tuple(get("args", ())),
+        working_dir=get("working_dir", "."),
         env=tuple(tuple(pair) for pair in env) if env else (),
-        duration=data.get("duration", 0.0),
+        duration=get("duration", 0.0),
         reads=tuple(_ref_from_dict(r) for r in reads) if reads else (),
         writes=tuple(_ref_from_dict(r) for r in writes) if writes else (),
-        runtime_estimate=data.get("runtime_estimate"),
-        stage=data.get("stage", ""),
+        runtime_estimate=get("runtime_estimate"),
+        stage=get("stage", ""),
     )
 
 
@@ -237,13 +233,9 @@ class Connection:
     def closed(self) -> bool:
         return self._closed.is_set()
 
-    def send(self, message: Message, blobs: Optional[dict[str, Any]] = None) -> None:
-        """Frame, sign (if keyed) and transmit *message*.
-
-        *blobs* carries pre-encoded JSON payload values, spliced into
-        the frame verbatim (see :func:`repro.net.wire.encode_message_v4`).
-        """
-        self.send_encoded(encode_message_v4(message, key=self.key, blobs=blobs))
+    def send(self, message: Message) -> None:
+        """Frame, sign (if keyed) and transmit *message*."""
+        self.send_encoded(encode_message_v4(message, key=self.key))
 
     def send_encoded(self, frame: bytes) -> None:
         """Queue one already-encoded frame for transmission.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["PROTOCOL_VERSION", "MessageType", "Message", "WIRE_CODES", "CODE_TO_TYPE"]
 
@@ -130,8 +130,3 @@ class Message:
     sender: str = ""
     payload: dict[str, Any] = field(default_factory=dict)
     msg_id: int = field(default_factory=lambda: next(_msg_counter))
-    #: Raw pre-encoded JSON bytes for payload values that arrived as
-    #: wire-v4 blobs: ``{key: bytes}`` or ``{key: [bytes, ...]}`` for
-    #: list-valued blobs.  Receivers use these to cache or re-splice a
-    #: value (e.g. a task spec) without ever re-serialising it.
-    blobs: Optional[dict[str, Any]] = field(default=None, repr=False, compare=False)

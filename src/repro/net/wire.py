@@ -3,8 +3,7 @@
 Every frame is::
 
     header   ">BBBBI" — magic 0xFB, version 4, type code, flags, body_len
-    body     u32 head_len || head JSON ||
-             [u16 nblobs || (u32 len || blob bytes)*  when FLAG_BLOBS]
+    body     u32 head_len || head JSON
     trailer  32-byte HMAC-SHA256(key, header || body)  when FLAG_SIGNED
 
 With a shared key every frame carries the HMAC trailer — our stand-in
@@ -24,7 +23,7 @@ import hashlib
 import hmac
 import json
 import struct
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import ProtocolError, SecurityError
 from repro.net.message import CODE_TO_TYPE, PROTOCOL_VERSION, Message, WIRE_CODES
@@ -46,92 +45,51 @@ V4_MAGIC = 0xFB
 #: v4 fixed header: magic, version, message-type code, flags, body length.
 _V4_HEADER = struct.Struct(">BBBBI")
 _V4_U32 = struct.Struct(">I")
-_V4_U16 = struct.Struct(">H")
+#: The fixed header plus the body's leading head length, packed at once.
+_V4_PREFIX = struct.Struct(">BBBBII")
 #: Body carries a trailing raw HMAC-SHA256 over header+body.
 _V4_FLAG_SIGNED = 0x01
-#: Body carries a blob section after the head (pre-encoded payload values).
-_V4_FLAG_BLOBS = 0x02
-_V4_KNOWN_FLAGS = _V4_FLAG_SIGNED | _V4_FLAG_BLOBS
+#: Every other flag bit is unknown: such a frame is rejected and the
+#: reader resynchronises past its advertised body.
+_V4_KNOWN_FLAGS = _V4_FLAG_SIGNED
 _V4_DIGEST_BYTES = 32
 
-_dumps = json.dumps  # hot-path alias; heads are not canonicalised
+#: One compact encoder for every frame head (heads are not
+#: canonicalised).  ``json.dumps`` with ``separators`` builds a fresh
+#: encoder per call, about a microsecond per frame.
+_encode_head = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def encode_message_v4(
-    message: Message,
-    key: Optional[bytes] = None,
-    blobs: Optional[dict[str, Any]] = None,
-) -> bytes:
+def encode_message_v4(message: Message, key: Optional[bytes] = None) -> bytes:
     """Serialise *message* into one binary frame (layout in the module
     docstring).
 
-    The head is ``{"sender", "msg_id", "payload"[, "_blobs"]}``
-    — the message type lives only in the header code, and the head is
-    *not* canonicalised (no ``sort_keys``): signing covers the
-    transmitted bytes directly, so neither side re-serialises.
-
-    *blobs* maps payload keys to pre-encoded JSON values — ``bytes``
-    for a scalar value or a ``list[bytes]`` whose entries become a JSON
-    array.  Blob keys must be absent from ``message.payload``; the head
-    records them as ``"_blobs": [[key, n], ...]`` (``n == -1`` scalar,
-    else list length) and the decoder splices the parsed values back
-    into the payload.  This is the hot-path escape hatch: a dispatcher
-    forwards a task spec it received as a blob without a single
-    ``json.dumps``.
+    The head is ``{"sender", "msg_id", "payload"}`` — the message type
+    lives only in the header code, and the head is *not* canonicalised
+    (no ``sort_keys``): signing covers the transmitted bytes directly,
+    so neither side re-serialises.
     """
-    flags = 0
-    head: dict[str, Any] = {
+    head_bytes = _encode_head({
         "sender": message.sender,
         "msg_id": message.msg_id,
         "payload": message.payload,
-    }
-    blob_parts: list[bytes] = []
-    if blobs:
-        flags |= _V4_FLAG_BLOBS
-        markers: list[list[Any]] = []
-        for bkey, value in blobs.items():
-            if bkey in message.payload:
-                raise ProtocolError(f"blob key {bkey!r} collides with payload")
-            if isinstance(value, (bytes, bytearray, memoryview)):
-                markers.append([bkey, -1])
-                blob_parts.append(bytes(value))
-            else:
-                markers.append([bkey, len(value)])
-                blob_parts.extend(bytes(v) for v in value)
-        head["_blobs"] = markers
-    head_bytes = _dumps(head, separators=(",", ":")).encode()
+    }).encode()
     body_len = _V4_U32.size + len(head_bytes)
-    if blob_parts or flags & _V4_FLAG_BLOBS:
-        body_len += _V4_U16.size + sum(_V4_U32.size + len(b) for b in blob_parts)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {body_len} bytes exceeds limit {MAX_FRAME_BYTES}")
-    if key is not None:
-        flags |= _V4_FLAG_SIGNED
+    flags = _V4_FLAG_SIGNED if key is not None else 0
     try:
         code = WIRE_CODES[message.type]
     except KeyError:
         raise ProtocolError(f"message type {message.type!r} has no wire-v4 code") from None
-    buf = bytearray(_V4_HEADER.size + body_len)
-    _V4_HEADER.pack_into(buf, 0, V4_MAGIC, PROTOCOL_VERSION, code, flags, body_len)
-    offset = _V4_HEADER.size
-    _V4_U32.pack_into(buf, offset, len(head_bytes))
-    offset += _V4_U32.size
-    buf[offset : offset + len(head_bytes)] = head_bytes
-    offset += len(head_bytes)
-    if flags & _V4_FLAG_BLOBS:
-        _V4_U16.pack_into(buf, offset, len(blob_parts))
-        offset += _V4_U16.size
-        for blob in blob_parts:
-            _V4_U32.pack_into(buf, offset, len(blob))
-            offset += _V4_U32.size
-            buf[offset : offset + len(blob)] = blob
-            offset += len(blob)
+    frame = _V4_PREFIX.pack(V4_MAGIC, PROTOCOL_VERSION, code, flags, body_len,
+                            len(head_bytes)) + head_bytes
     if key is not None:
-        buf += hmac.new(key, bytes(buf), hashlib.sha256).digest()
-    return bytes(buf)
+        frame += hmac.new(key, frame, hashlib.sha256).digest()
+    return frame
 
 
-def _decode_v4_body(code: int, flags: int, body: memoryview) -> Message:
+def _decode_v4_body(code: int, body: memoryview) -> Message:
     """Parse one complete v4 body (signature already checked) into a Message."""
     try:
         msg_type = CODE_TO_TYPE[code]
@@ -153,47 +111,6 @@ def _decode_v4_body(code: int, flags: int, body: memoryview) -> Message:
     payload = head.get("payload")
     if not isinstance(payload, dict):
         raise ProtocolError("wire-v4 head lacks a payload object")
-    raw_blobs: Optional[dict[str, Any]] = None
-    if flags & _V4_FLAG_BLOBS:
-        if offset + _V4_U16.size > len(body):
-            raise ProtocolError("wire-v4 body truncated before blob count")
-        (nblobs,) = _V4_U16.unpack_from(body, offset)
-        offset += _V4_U16.size
-        blob_parts: list[bytes] = []
-        for _ in range(nblobs):
-            if offset + _V4_U32.size > len(body):
-                raise ProtocolError("wire-v4 body truncated before blob length")
-            (blob_len,) = _V4_U32.unpack_from(body, offset)
-            offset += _V4_U32.size
-            if offset + blob_len > len(body):
-                raise ProtocolError("wire-v4 blob overruns body")
-            blob_parts.append(bytes(body[offset : offset + blob_len]))
-            offset += blob_len
-        markers = head.get("_blobs")
-        if not isinstance(markers, list):
-            raise ProtocolError("wire-v4 blob frame lacks _blobs markers")
-        raw_blobs = {}
-        index = 0
-        try:
-            for bkey, count in markers:
-                if count == -1:
-                    blob = blob_parts[index]
-                    index += 1
-                    payload[bkey] = json.loads(blob)
-                    raw_blobs[bkey] = blob
-                else:
-                    group = blob_parts[index : index + count]
-                    if len(group) != count:
-                        raise ProtocolError("wire-v4 _blobs markers overrun blob list")
-                    index += count
-                    payload[bkey] = [json.loads(blob) for blob in group]
-                    raw_blobs[bkey] = group
-        except ProtocolError:
-            raise
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ProtocolError(f"wire-v4 blob section malformed: {exc}") from exc
-        if index != len(blob_parts):
-            raise ProtocolError("wire-v4 blob section has unclaimed blobs")
     if offset != len(body):
         raise ProtocolError("wire-v4 body has trailing bytes")
     return Message(
@@ -201,7 +118,6 @@ def _decode_v4_body(code: int, flags: int, body: memoryview) -> Message:
         sender=head.get("sender", ""),
         payload=payload,
         msg_id=head.get("msg_id", 0),
-        blobs=raw_blobs,
     )
 
 
@@ -286,4 +202,4 @@ class FrameReader:
         elif trailer:
             raise SecurityError("signed wire-v4 frame on an unkeyed channel")
         body = memoryview(frame)[_V4_HEADER.size : _V4_HEADER.size + body_len]
-        return _decode_v4_body(code, flags, body)
+        return _decode_v4_body(code, body)

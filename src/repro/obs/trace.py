@@ -110,36 +110,43 @@ class Span:
                 f"{details}").rstrip()
 
 
-class _Trace:
-    """Span rows are stored as plain tuples ``(span_id, parent_id,
-    name, attempt, start, end, attrs_items)`` and materialised into
-    :class:`Span` objects only on query — recording happens seven
-    times per task on the dispatch hot path, reading a handful of
-    times per run, so construction cost belongs on the read side."""
+#: Items per span row in a trace's flat storage: ``name, attempt,
+#: start, end, attrs_items``.
+_ROW = 5
 
-    __slots__ = ("trace_id", "task_id", "rows", "last_span_id", "last_start")
+
+class _Trace(list):
+    """One task's span rows, stored flat in the trace object itself.
+
+    Each span is :data:`_ROW` consecutive items; its span id is its row
+    position counted from 1 and its parent is the row before it.  A
+    trace therefore costs the cyclic collector one object per task —
+    no header object, row list or per-row tuple — and rows become
+    :class:`Span` objects only on query: recording happens seven times
+    per task on the dispatch hot path, reading a handful of times per
+    run, so construction cost belongs on the read side."""
+
+    __slots__ = ("trace_id", "task_id")
 
     def __init__(self, trace_id: str, task_id: str) -> None:
+        super().__init__()
         self.trace_id = trace_id
         self.task_id = task_id
-        self.rows: list[tuple] = []
-        self.last_span_id = 0
-        self.last_start = 0.0
 
     def materialise(self) -> list[Span]:
         return [
             Span(
                 trace_id=self.trace_id,
-                span_id=span_id,
-                parent_id=parent_id,
-                name=name,
+                span_id=i // _ROW + 1,
+                parent_id=i // _ROW or None,
+                name=self[i],
                 task_id=self.task_id,
-                attempt=attempt,
-                start=start,
-                end=end,
-                attrs=tuple(sorted(attrs)),
+                attempt=self[i + 1],
+                start=self[i + 2],
+                end=self[i + 3],
+                attrs=tuple(sorted(self[i + 4])),
             )
-            for span_id, parent_id, name, attempt, start, end, attrs in self.rows
+            for i in range(0, len(self), _ROW)
         ]
 
 
@@ -236,23 +243,19 @@ class SpanCollector:
         trace = self._traces.get(task_id)
         if trace is None:
             return None
-        span_id = trace.last_span_id = trace.last_span_id + 1
-        parent = span_id - 1 if span_id > 1 else None
-        if trace.rows:
+        span_id = len(trace) // _ROW + 1
+        if trace:
             # Chains are causal: a span anchored on another clock
             # (the executor-measured exec window) must not rewind
-            # behind its predecessor.
-            floor = trace.last_start
+            # behind its predecessor (whose start sits third from the
+            # end of the flat rows).
+            floor = trace[-3]
             if start < floor:
                 if end is not None:
                     end = max(end, floor)
                 start = floor
-        trace.last_start = start
-        trace.rows.append((
-            span_id, parent, name, attempt,
-            start, start if end is None else end,
-            attrs_items,
-        ))
+        trace.extend((name, attempt, start, start if end is None else end,
+                      attrs_items))
         self.spans_recorded += 1
         return TraceContext(trace.trace_id, span_id)
 
@@ -267,9 +270,9 @@ class SpanCollector:
         """Context of the most recent span of *task_id*."""
         with self._lock:
             trace = self._traces.get(task_id)
-            if trace is None or not trace.rows:
+            if not trace:
                 return None
-            return TraceContext(trace.trace_id, trace.last_span_id)
+            return TraceContext(trace.trace_id, len(trace) // _ROW)
 
     def task_ids(self) -> list[str]:
         with self._lock:

@@ -3,6 +3,7 @@ seeded fuzzing of the frame parser: truncated, corrupted, oversized and
 garbage frames must surface as :class:`ProtocolError` — never as a
 hang, another exception type, or a dead server thread."""
 
+import dataclasses
 import random
 import socket
 import struct
@@ -44,6 +45,63 @@ def test_task_roundtrip_full():
 def test_task_roundtrip_defaults():
     task = TaskSpec.sleep(0, task_id="s")
     assert task_from_dict(task_to_dict(task)) == task
+
+
+#: One non-default value per optional TaskSpec field.
+_OPTIONAL_FIELDS = {
+    "working_dir": "/scratch",
+    "env": (("A", "1"),),
+    "duration": 1.5,
+    "reads": (DataRef("in", 100, DataLocation.LOCAL),),
+    "writes": (DataRef("out", 50),),
+    "runtime_estimate": 2.0,
+    "stage": "reproject",
+}
+
+
+def test_sparse_spec_omits_every_default_field():
+    wire = task_to_dict(TaskSpec(task_id="t", command="echo"))
+    assert wire == {"task_id": "t", "command": "echo", "args": []}
+    assert task_from_dict(wire) == TaskSpec(task_id="t", command="echo")
+
+
+@pytest.mark.parametrize("name", sorted(_OPTIONAL_FIELDS))
+def test_sparse_spec_round_trips_each_optional_field(name):
+    base = TaskSpec(task_id="t", command="convert", args=("-v",))
+    spec = dataclasses.replace(base, **{name: _OPTIONAL_FIELDS[name]})
+    wire = task_to_dict(spec)
+    # Set: the field travels (and only it beyond the three fixed keys).
+    assert set(wire) == {"task_id", "command", "args", name}
+    assert task_from_dict(wire) == spec
+    # Unset: the key is absent and the decoder restores the default.
+    assert name not in task_to_dict(base)
+    assert task_from_dict(task_to_dict(base)) == base
+
+
+def test_sparse_spec_round_trips_every_optional_field_at_once():
+    spec = TaskSpec(task_id="t", command="convert", args=("-v",), **_OPTIONAL_FIELDS)
+    wire = task_to_dict(spec)
+    assert set(wire) == {"task_id", "command", "args", *_OPTIONAL_FIELDS}
+    assert task_from_dict(wire) == spec
+
+
+def test_dense_spec_dict_still_decodes():
+    # The dense ten-key form an older peer (or journal-less tooling)
+    # sends: every key present, defaults spelled out.
+    dense = {
+        "task_id": "s", "command": "sleep", "args": ["0"],
+        "working_dir": ".", "env": [], "duration": 0.0,
+        "reads": [], "writes": [], "runtime_estimate": None, "stage": "",
+    }
+    assert task_from_dict(dense) == TaskSpec.sleep(0, task_id="s")
+    dense.update(env=[["A", "1"]],
+                 reads=[{"name": "in", "size": 100, "location": "local"}],
+                 runtime_estimate=3.0, stage="project")
+    spec = task_from_dict(dense)
+    assert spec.env == (("A", "1"),)
+    assert spec.reads == (DataRef("in", 100, DataLocation.LOCAL),)
+    assert spec.runtime_estimate == 3.0 and spec.stage == "project"
+    assert task_from_dict(task_to_dict(spec)) == spec
 
 
 def test_result_roundtrip():

@@ -126,6 +126,20 @@ def test_frame_reader_oversized_frame_does_not_poison_stream():
     assert reader.pending_bytes == 0
 
 
+def test_frame_reader_rejects_former_blob_flag_and_resyncs():
+    # Flag 0x02 once announced a blob section after the head; the codec
+    # no longer has one, so the bit is unknown like any other.
+    bad = bytearray(frame({"n": "blob"}))
+    bad[3] = 0x02  # the header's flags byte
+    reader = FrameReader()
+    with pytest.raises(ProtocolError, match="unknown wire-v4 flags 0x02"):
+        list(reader.feed(bytes(bad) + frame({"n": "after"})))
+    # The reader skipped exactly the advertised body: the next frame,
+    # already buffered, parses intact.
+    assert payloads_of(reader.feed(b"")) == [{"n": "after"}]
+    assert reader.pending_bytes == 0
+
+
 def test_frame_reader_rejects_bad_json():
     head = b"{not json"
     body = struct.pack(">I", len(head)) + head

@@ -221,7 +221,7 @@ def test_wrong_key_never_verifies():
 
 
 # ---------------------------------------------------------------------------
-# frame header, blobs and resync
+# frame header and resync
 # ---------------------------------------------------------------------------
 def rand_message(rng: random.Random) -> Message:
     msg_type = rng.choice(list(WIRE_CODES))
@@ -250,23 +250,6 @@ def test_v4_frames_reassemble_from_one_byte_chunks():
     for got, want in zip(out, messages):
         assert isinstance(got, Message) and _same_message(got, want)
     assert reader.pending_bytes == 0
-
-
-def test_v4_blob_frames_splice_payload_and_expose_raw_bytes():
-    rng = random.Random(0xB10B)
-    for _ in range(ROUNDS // 3):
-        specs = [task_to_dict(rand_spec(rng)) for _ in range(rng.randrange(1, 4))]
-        blob_list = [json.dumps(s, separators=(",", ":")).encode() for s in specs]
-        scalar = json.dumps({"k": rand_text(rng)}, separators=(",", ":")).encode()
-        message = Message(MessageType.WORK, sender="disp",
-                          payload={"plain": 1}, msg_id=7)
-        frame = encode_message_v4(message, key=KEY,
-                                  blobs={"tasks": blob_list, "extra": scalar})
-        got = decode_one(frame, key=KEY)
-        assert got.payload == {"plain": 1, "tasks": specs,
-                               "extra": {"k": json.loads(scalar)["k"]}}
-        # Raw bytes survive for re-forwarding without a re-encode.
-        assert got.blobs == {"tasks": blob_list, "extra": scalar}
 
 
 def test_v4_header_corruption_never_yields_a_forged_message():
