@@ -1019,12 +1019,9 @@ def _cmd_bench(args) -> int:
 
     if args.profile:
         return _bench_profile(args, n_tasks, one_round)
-    if args.flight:
-        return _bench_flight(args, n_tasks, one_round)
-    if args.telemetry:
-        return _bench_telemetry(args, n_tasks, one_round)
-    if args.journal:
-        return _bench_journal(args, n_tasks, one_round)
+    for arm in ("flight", "telemetry", "journal"):
+        if getattr(args, arm):
+            return _bench_overhead(args, arm, n_tasks, one_round)
 
     best = max((one_round(i) for i in range(2)), key=lambda r: r["tasks_per_s"])
     rate = best["tasks_per_s"]
@@ -1321,7 +1318,7 @@ def _bench_ioloop(args) -> int:
 def _merge_json_record(path: str, updates: dict) -> None:
     """Read-modify-write a JSON record file.
 
-    The telemetry and flight benches share one artifact
+    The telemetry and flight gates share one artifact
     (``BENCH_telemetry.json``); each must preserve the other's keys
     rather than clobbering the file.  An unreadable existing file is
     replaced — the measurements are reproducible, the artifact is not
@@ -1364,162 +1361,121 @@ def _paired_overhead(pairs: list[tuple[float, float]], variant: str) -> dict:
     }
 
 
-def _bench_telemetry(args, n_tasks: int, one_round) -> int:
-    """Measure what the live telemetry plane costs, and gate it.
+#: Stands for "a fresh temporary directory per variant round" in an
+#: overhead arm's kwargs.
+_FRESH_DIR = object()
 
-    Interleaved A/B rounds (base, telemetry, base, telemetry, ...) so
-    machine-load drift hits both configurations equally; the gate
-    compares each telemetry round against its *adjacent* base round
-    and reads the median pair (:func:`_paired_overhead`): the first
-    in-process round is measurably faster than every later one
-    (allocator/GC state), so an unpaired best-vs-best ratio would
-    charge that decay to the telemetry plane.
-    """
+#: The overhead gates behind ``repro bench --telemetry/--flight/--journal``.
+#: Each row names the deployment kwargs of its base and variant rounds,
+#: the round-pair count, the ``args`` attributes holding its budget and
+#: output file, the key it merges under (``None``: top level), extra
+#: record fields, and its report lines.
+_OVERHEAD_ARMS = {
     # The full telemetry plane as a user would turn it on: HTTP status
     # surface up, executors streaming heartbeat stats, the monitor
     # folding self-samples.  Event logging stays off — it is opt-in
     # per run (`--events-out`) and documented as outside this budget.
-    telemetry_kwargs = {"heartbeat_interval": 0.25, "http_port": 0}
-    rounds = 3
-    pairs: list[tuple[float, float]] = []
-    for i in range(rounds):
-        base_rate = one_round(2 * i)["tasks_per_s"]
-        telem_rate = one_round(2 * i + 1, **telemetry_kwargs)["tasks_per_s"]
-        pairs.append((base_rate, telem_rate))
-    record = _paired_overhead(pairs, "telemetry")
-    overhead = record["overhead_fraction"]
-    record.update({
-        "budget_fraction": args.budget,
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "rounds": rounds,
-        "telemetry_config": {"heartbeat_interval": 0.25, "http": True,
-                             "events": False},
-        "quick": args.quick,
-    })
-    _merge_json_record(args.out, record)
-    print(f"telemetry overhead bench ({n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"{rounds} interleaved round pairs):")
-    print(f"  base      {record['base_tasks_per_s']:,.0f} tasks/s (median)")
-    print(f"  telemetry {record['telemetry_tasks_per_s']:,.0f} tasks/s "
-          f"(heartbeat stats @0.25s + HTTP surface)")
-    print(f"  overhead  {overhead:.1%} median adjacent pair "
-          f"(budget {args.budget:.0%}) -> {args.out}")
-    if overhead > args.budget:
-        print(f"  telemetry plane exceeds its overhead budget "
-              f"({overhead:.1%} > {args.budget:.0%})", file=sys.stderr)
-        return 1
-    print("  OK: telemetry plane within budget")
-    return 0
+    "telemetry": {
+        "base": {},
+        "variant": {"heartbeat_interval": 0.25, "http_port": 0},
+        "rounds": 3, "budget": "budget", "out": "out", "key": None,
+        "extra": {"telemetry_config": {"heartbeat_interval": 0.25,
+                                       "http": True, "events": False}},
+        "title": "telemetry overhead bench",
+        "base_line": "  base      {:,.0f} tasks/s (median)",
+        "variant_line": "  telemetry {:,.0f} tasks/s "
+                        "(heartbeat stats @0.25s + HTTP surface)",
+        "fail": "telemetry plane exceeds its overhead budget",
+        "ok": "telemetry plane within budget",
+    },
+    # The whole observability surface stacked on the variant side: the
+    # recorder ringing every frame/queue event plus heartbeat stats and
+    # the HTTP surface, against a base with the recorder off and no
+    # telemetry.  The combined overhead must stay inside the single
+    # ``--budget`` — the recorder gets no budget on top of telemetry's —
+    # and merges under ``"flight"``, keeping the telemetry record.
+    "flight": {
+        "base": {"flight": False},
+        "variant": {"heartbeat_interval": 0.25, "http_port": 0,
+                    "flight": True},
+        "rounds": 3, "budget": "budget", "out": "out", "key": "flight",
+        "extra": {"variant_config": {"heartbeat_interval": 0.25, "http": True,
+                                     "flight": True, "watchdogs": True}},
+        "title": "flight recorder overhead bench",
+        "base_line": "  base            {:,.0f} tasks/s "
+                     "(median; recorder off, no telemetry)",
+        "variant_line": "  flight+telemetry {:,.0f} tasks/s "
+                        "(recorder + watchdogs + heartbeat stats + HTTP)",
+        "fail": "flight recorder exceeds the combined observability budget",
+        "ok": "flight recorder + watchdogs within budget",
+    },
+    # Steady-state WAL cost (group-committed SUBMITs + windowed
+    # dispatch/result/ack records + fsync batching), not recovery:
+    # each journalled round writes into a fresh temporary directory.
+    "journal": {
+        "base": {},
+        "variant": {"journal_dir": _FRESH_DIR},
+        "rounds": 4, "budget": "journal_budget", "out": "journal_out",
+        "key": None, "extra": {},
+        "title": "journal overhead bench",
+        "base_line": "  plain     {:,.0f} tasks/s (median)",
+        "variant_line": "  journaled {:,.0f} tasks/s "
+                        "(group-committed WAL + fsync batching)",
+        "fail": "journal exceeds its overhead budget",
+        "ok": "journal within budget",
+    },
+}
 
 
-def _bench_flight(args, n_tasks: int, one_round) -> int:
-    """Measure the flight recorder + watchdogs' cost, and gate it.
+def _bench_overhead(args, arm: str, n_tasks: int, one_round) -> int:
+    """Measure what one optional plane costs, and gate it.
 
-    Same interleaved A/B harness as the telemetry bench, with the
-    whole observability surface stacked on the variant side: base
-    rounds run with the recorder *off* and no telemetry plane, variant
-    rounds with the recorder ringing every frame/queue event *plus*
-    heartbeat stats and the HTTP surface.  The combined overhead must
-    stay inside the single ``--budget`` (5% by default) — the flight
-    recorder does not get its own budget on top of telemetry's.  The
-    measurement merges into ``--out`` under the ``"flight"`` key,
-    preserving the plain-telemetry record alongside it.
+    Interleaved A/B rounds (base, variant, base, variant, ...) so
+    machine-load drift hits both configurations equally; the gate
+    compares each variant round against its *adjacent* base round and
+    reads the median pair (:func:`_paired_overhead`): the first
+    in-process round is measurably faster than every later one
+    (allocator/GC state), and cross-invocation CPU drift inflates an
+    unpaired best-vs-best ratio by more than the plane itself costs.
     """
-    variant_kwargs = {"heartbeat_interval": 0.25, "http_port": 0,
-                      "flight": True}
-    rounds = 3
-    pairs: list[tuple[float, float]] = []
-    for i in range(rounds):
-        base_rate = one_round(2 * i, flight=False)["tasks_per_s"]
-        flight_rate = one_round(2 * i + 1, **variant_kwargs)["tasks_per_s"]
-        pairs.append((base_rate, flight_rate))
-    record = _paired_overhead(pairs, "flight")
-    overhead = record["overhead_fraction"]
-    record.update({
-        "budget_fraction": args.budget,
-        "n_tasks": n_tasks,
-        "executors": args.executors,
-        "pipeline": args.pipeline,
-        "rounds": rounds,
-        "variant_config": {"heartbeat_interval": 0.25, "http": True,
-                           "flight": True, "watchdogs": True},
-        "quick": args.quick,
-    })
-    _merge_json_record(args.out, {"flight": record})
-    print(f"flight recorder overhead bench ({n_tasks} sleep-0 tasks, "
-          f"{args.executors} executors, pipeline depth {args.pipeline}, "
-          f"{rounds} interleaved round pairs):")
-    print(f"  base            {record['base_tasks_per_s']:,.0f} tasks/s "
-          f"(median; recorder off, no telemetry)")
-    print(f"  flight+telemetry {record['flight_tasks_per_s']:,.0f} tasks/s "
-          f"(recorder + watchdogs + heartbeat stats + HTTP)")
-    print(f"  overhead  {overhead:.1%} median adjacent pair "
-          f"(budget {args.budget:.0%}) -> {args.out}")
-    if overhead > args.budget:
-        print(f"  flight recorder exceeds the combined observability budget "
-              f"({overhead:.1%} > {args.budget:.0%})", file=sys.stderr)
-        return 1
-    print("  OK: flight recorder + watchdogs within budget")
-    return 0
-
-
-def _bench_journal(args, n_tasks: int, one_round) -> int:
-    """Measure what crash-safe journalling costs, and gate it.
-
-    Same paired-interleaved shape as the telemetry bench: (plain,
-    journalled, plain, journalled, ...) rounds so machine-load drift
-    hits both configurations equally.  The gate compares each
-    journalled round against its *adjacent* plain round and reads the
-    median pair (:func:`_paired_overhead`): cross-invocation CPU drift
-    inflates an unpaired best-vs-best ratio by more than the journal
-    itself costs.  Each journalled round writes into a fresh
-    temporary directory — this measures steady-state WAL cost
-    (group-committed SUBMITs + windowed dispatch/result/ack records +
-    fsync batching), not recovery.
-    """
-    import json
-    import shutil
     import tempfile
 
-    rounds = 4
+    row = _OVERHEAD_ARMS[arm]
+    budget = getattr(args, row["budget"])
+    out = getattr(args, row["out"])
+    rounds = row["rounds"]
     pairs: list[tuple[float, float]] = []
     for i in range(rounds):
-        base_rate = one_round(2 * i)["tasks_per_s"]
-        journal_dir = tempfile.mkdtemp(prefix="bench-journal-")
-        try:
-            journal_rate = one_round(2 * i + 1, journal_dir=journal_dir)["tasks_per_s"]
-        finally:
-            shutil.rmtree(journal_dir, ignore_errors=True)
-        pairs.append((base_rate, journal_rate))
-    record = _paired_overhead(pairs, "journal")
+        base_rate = one_round(2 * i, **row["base"])["tasks_per_s"]
+        with tempfile.TemporaryDirectory(prefix=f"bench-{arm}-",
+                                         ignore_cleanup_errors=True) as fresh:
+            variant = {key: fresh if value is _FRESH_DIR else value
+                       for key, value in row["variant"].items()}
+            variant_rate = one_round(2 * i + 1, **variant)["tasks_per_s"]
+        pairs.append((base_rate, variant_rate))
+    record = _paired_overhead(pairs, arm)
     overhead = record["overhead_fraction"]
     record.update({
-        "budget_fraction": args.journal_budget,
+        "budget_fraction": budget,
         "n_tasks": n_tasks,
         "executors": args.executors,
         "pipeline": args.pipeline,
         "rounds": rounds,
+        **row["extra"],
         "quick": args.quick,
     })
-    with open(args.journal_out, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"journal overhead bench ({n_tasks} sleep-0 tasks, "
+    _merge_json_record(out, record if row["key"] is None else {row["key"]: record})
+    print(f"{row['title']} ({n_tasks} sleep-0 tasks, "
           f"{args.executors} executors, pipeline depth {args.pipeline}, "
           f"{rounds} interleaved round pairs):")
-    print(f"  plain     {record['base_tasks_per_s']:,.0f} tasks/s (median)")
-    print(f"  journaled {record['journal_tasks_per_s']:,.0f} tasks/s "
-          f"(group-committed WAL + fsync batching)")
+    print(row["base_line"].format(record["base_tasks_per_s"]))
+    print(row["variant_line"].format(record[f"{arm}_tasks_per_s"]))
     print(f"  overhead  {overhead:.1%} median adjacent pair "
-          f"(budget {args.journal_budget:.0%}) -> {args.journal_out}")
-    if overhead > args.journal_budget:
-        print(f"  journal exceeds its overhead budget "
-              f"({overhead:.1%} > {args.journal_budget:.0%})", file=sys.stderr)
+          f"(budget {budget:.0%}) -> {out}")
+    if overhead > budget:
+        print(f"  {row['fail']} ({overhead:.1%} > {budget:.0%})", file=sys.stderr)
         return 1
-    print("  OK: journal within budget")
+    print(f"  OK: {row['ok']}")
     return 0
 
 

@@ -19,28 +19,18 @@ so executor count no longer implies thread count.  Handlers run on
 the loop thread and must not block; sends are buffered and flushed
 non-blocking.
 
-Lock map (replaces the old single RLock; see ``docs/PERFORMANCE.md``):
-
-========================  ==================================================
-``_queue_lock``           the ready queue (deque of task ids)
-``_records_lock``         ``_records`` dict membership only
-``_exec_lock``            ``_executors`` dict membership only
-``_client_lock``          ``_clients`` dict
-``record.lock``           task records' mutable state: one of
-                          ``RECORD_LOCK_STRIPES`` striped locks, picked
-                          by task-id hash and shared by every record
-                          that hashes to it
-``executor.lock``         one executor session's busy set / liveness
-========================  ==================================================
-
-Ordering discipline (deadlock freedom): ``record.lock`` may be taken
-first and ``_queue_lock`` or ``executor.lock`` inside it; those two
-are leaves — no other lock is ever acquired while holding them, and
-no path takes two record locks or two executor locks at once.  That
-last rule is what makes striping safe: two records may share a stripe,
-and a path that held one record lock while taking another could wait
-on itself.  SUBMIT, GET_WORK and RESULT therefore contend only where
-they truly share state (the ready queue), not on one global monitor.
+One state lock, I/O outside it (see ``docs/PERFORMANCE.md``): every
+piece of dispatcher state — task records, the ready queue, executor
+sessions and their busy sets, the client table, the DLQ, peer depths
+and peer links — is guarded by the single ``_state`` lock.  Every entry
+point has one shape: take the lock, make the state transition, collect
+the frames to send, release, then send.  Nothing under the lock sends,
+closes a connection, or calls a ``PeerLink``: a failed send closes its
+connection, and ``close()`` runs the session's close callback, which
+re-enters the dispatcher to drop the executor.  Leaf stores with locks
+of their own (the journal, span collector, metrics registry, flight
+recorder, event log) may be called under it; ``Journal.commit()``, the
+SUBMIT fsync wait, never is.
 
 Liveness (the fault-tolerance leg): executors HEARTBEAT on an agreed
 interval; a monitor thread declares an executor dead once it has been
@@ -147,11 +137,6 @@ __all__ = ["LiveDispatcher", "PEER_PREFIX"]
 #: Sanity cap on an executor's advertised pipeline depth.
 MAX_PIPELINE_DEPTH = 64
 
-#: Record locks in the dispatcher's striped pool (a power of two).  A
-#: lock per record was one more object per task for the cyclic
-#: collector to walk; a fixed pool costs nothing per task.
-RECORD_LOCK_STRIPES = 64
-
 #: Identity prefix for peer shards: the donor registers a thief as a
 #: pseudo-executor ``peer:<shard-id>`` and the thief records the donor
 #: as pseudo-client ``peer:<shard-id>`` on stolen records.
@@ -164,14 +149,19 @@ PEER_DEPTH_TTL = 2.0
 
 #: Watchdog thresholds (seconds).  An IOLoop whose wakeup lag exceeds
 #: the first is being starved by a blocking handler; a journal flush
-#: slower than the second points at a dying disk; a leaf-lock convoy
-#: past the third means one subsystem is wedging another.
+#: slower than the second points at a dying disk; a state-lock convoy
+#: past the third means one entry point is holding the dispatcher up.
 IOLOOP_LAG_DEGRADED = 1.0
 JOURNAL_FLUSH_DEGRADED = 1.0
 LOCK_WAIT_DEGRADED = 1.0
 #: With buffered journal records and no completed flush for this many
 #: seconds, the flusher thread is presumed wedged.
 JOURNAL_STALE_DEGRADED = 5.0
+
+#: The enqueue span's reason where it differs from the requeue reason
+#: the event log carries: a failed result's retry is ``failed-result``
+#: in the event log and ``retry`` on its span chain.
+_ENQUEUE_SPAN_REASON = {"failed-result": "retry"}
 
 
 def _journal_spec(spec: TaskSpec) -> dict:
@@ -189,6 +179,17 @@ def _journal_result(result: TaskResult) -> dict:
     return data
 
 
+def _notify_payload(result: TaskResult) -> dict:
+    """One CLIENT_NOTIFY entry: the result plus its timeline."""
+    payload = result_to_dict(result)
+    payload["timeline"] = {
+        "submitted": result.timeline.submitted,
+        "dispatched": result.timeline.dispatched,
+        "completed": result.timeline.completed,
+    }
+    return payload
+
+
 @dataclass
 class _LiveRecord:
     """One task's dispatcher-side state.
@@ -196,15 +197,12 @@ class _LiveRecord:
     Every task the dispatcher knows keeps one of these alive until it
     is evicted, so its fields are kept to objects the cyclic collector
     need not walk: the spec is held once (as a :class:`TaskSpec`; its
-    wire dict is rebuilt per dispatch), and ``lock`` is a shared stripe
-    of the dispatcher's pool, not a lock of its own.
+    wire dict is rebuilt per dispatch), and there is no per-record
+    lock — the dispatcher's state lock guards every field.
     """
 
     spec: TaskSpec
     client_id: str
-    #: Guards every mutable field below: the record's stripe of the
-    #: dispatcher's lock pool (see the module docstring's lock map).
-    lock: threading.Lock = field(repr=False)
     state: TaskState = TaskState.QUEUED
     attempts: int = 0
     executor_id: str = ""
@@ -229,23 +227,19 @@ class _LiveRecord:
 
 
 class _ExecutorSession:
+    """One registered executor (or peer pseudo-executor); its fields
+    are dispatcher state, guarded by the dispatcher's state lock."""
+
     def __init__(self, executor_id: str, conn: Connection, pipeline: int = 1) -> None:
         self.executor_id = executor_id
         self.conn = conn
         self.pipeline = max(1, min(int(pipeline), MAX_PIPELINE_DEPTH))
-        self.lock = threading.Lock()
         self.busy: set[str] = set()  # task ids in flight on this agent
         self.notified = False
         self.last_seen = time.monotonic()
-        #: Set (under ``lock``) when the session leaves the executor
-        #: table; a concurrent claim seeing it undoes its dispatch.
-        self.dead = False
 
     def capacity(self) -> int:
-        with self.lock:
-            if self.dead:
-                return 0
-            return max(0, self.pipeline - len(self.busy))
+        return max(0, self.pipeline - len(self.busy))
 
 
 class _ClientSession:
@@ -377,16 +371,10 @@ class LiveDispatcher:
             monitor_interval = min([0.25] + [d / 2 for d in deadlines])
         self.monitor_interval = monitor_interval
 
-        # Fine-grained locking (see the module docstring's lock map).
-        # The three contended leaves are TimedLocks: uncontended
-        # acquisitions cost one extra try-acquire, contended ones feed
-        # the lock-wait watchdog gauge.
-        self._queue_lock = TimedLock()
-        self._records_lock = TimedLock()
-        self._exec_lock = TimedLock()
-        self._client_lock = threading.Lock()
-        self._record_locks = tuple(
-            threading.Lock() for _ in range(RECORD_LOCK_STRIPES))
+        # The one state lock (see the module docstring).  A TimedLock:
+        # an uncontended acquisition costs one extra try-acquire, a
+        # contended one feeds the lock-wait watchdog gauge.
+        self._state = TimedLock()
         self._queue: deque[str] = deque()  # task ids
         self._records: dict[str, _LiveRecord] = {}
         self._executors: dict[str, _ExecutorSession] = {}
@@ -394,7 +382,6 @@ class LiveDispatcher:
         # Federation plane: gossiped peer depths (shard id ->
         # {"queued": n, "t": monotonic}) and the outbound peer links
         # installed by the federation wiring (shard id -> PeerLink).
-        self._peer_lock = threading.Lock()
         self._peer_depths: dict[str, dict] = {}
         self._peer_links: dict[str, object] = {}
         self._client_seq = itertools.count(1)
@@ -512,11 +499,9 @@ class LiveDispatcher:
                         if self.journal is not None else 0.0))
         self.metrics.gauge(
             "lock_wait_seconds",
-            help="Worst contended leaf-lock acquisition wait since the "
+            help="Worst contended state-lock acquisition wait since the "
                  "last sweep",
-            fn=lambda: max(self._queue_lock.max_wait_s,
-                           self._records_lock.max_wait_s,
-                           self._exec_lock.max_wait_s))
+            fn=lambda: self._state.max_wait_s)
         self.metrics.gauge(
             "degraded",
             help="1 while any watchdog reports a degraded reason",
@@ -524,7 +509,6 @@ class LiveDispatcher:
 
         # Poison-task quarantine: task id -> dead-letter entry dict.
         self._dlq: dict[str, dict] = {}
-        self._dlq_lock = threading.Lock()
         # Durability plane: recover *before* the server accepts —
         # reconnecting peers must find the rebuilt state, not a race.
         self.journal: Optional[Journal] = None
@@ -599,11 +583,6 @@ class LiveDispatcher:
         """Seconds since dispatcher start (the span/timeline clock)."""
         return time.monotonic() - self._started
 
-    def _new_record(self, spec: TaskSpec, client_id: str) -> _LiveRecord:
-        """A QUEUED record for *spec*, locked by its task id's stripe."""
-        lock = self._record_locks[hash(spec.task_id) & (RECORD_LOCK_STRIPES - 1)]
-        return _LiveRecord(spec=spec, client_id=client_id, lock=lock)
-
     # Back-compat read views over the registry counters.
     @property
     def tasks_accepted(self) -> int:
@@ -638,20 +617,16 @@ class LiveDispatcher:
         frames_dropped = (
             self.fault_plan.snapshot()["frames_dropped"] if self.fault_plan else 0
         )
-        with self._exec_lock:
+        with self._state:
             # Peer pseudo-executors are shard links, not workers — they
             # are excluded so registered/busy/idle describe real agents.
             executors = [
                 e for eid, e in self._executors.items()
                 if not eid.startswith(PEER_PREFIX)
             ]
-        busy = 0
-        for executor in executors:
-            with executor.lock:
-                if executor.busy:
-                    busy += 1
-        with self._queue_lock:
+            busy = sum(1 for executor in executors if executor.busy)
             queued = len(self._queue)
+            dlq_size = len(self._dlq)
         return DispatcherStats(
             queued=queued,
             registered=len(executors),
@@ -666,7 +641,7 @@ class LiveDispatcher:
             stale_results=self._m_stale.value,
             frames_dropped=frames_dropped,
             submit_rejects=self._m_rejects.value,
-            dlq_size=len(self._dlq),
+            dlq_size=dlq_size,
             dlq_total=self._m_dlq.value,
             recovered=self._m_recovered.value,
             inflight_adopted=self._m_adopted.value,
@@ -696,8 +671,9 @@ class LiveDispatcher:
     def _recover_from_journal(self, journal_dir: str) -> None:
         """Rebuild records, queue and DLQ from snapshot + tail replay.
 
-        Runs in ``__init__`` before the server socket exists, so no
-        locks are contended; they are taken anyway for uniformity.
+        Runs in ``__init__`` before the server socket, the I/O loops
+        and the monitor exist: no other thread can reach the state yet,
+        so the state lock is not taken.
         """
         state = recover_journal(journal_dir)
         if not state.tasks:
@@ -709,7 +685,7 @@ class LiveDispatcher:
                 spec = task_from_dict(task.spec)
             except (KeyError, TypeError, ValueError):
                 continue  # a record from a future/foreign spec version
-            record = self._new_record(spec, task.client_id)
+            record = _LiveRecord(spec, task.client_id)
             record.attempts = task.attempts
             record.acked = task.acked
             if task.origin is not None:
@@ -759,13 +735,10 @@ class LiveDispatcher:
                 self.spans.record(task.task_id, "enqueue", now,
                                   attempt=record.attempts + 1, reason="recovered")
             if task.in_dlq:
-                with self._dlq_lock:
-                    self._dlq[task.task_id] = self._dlq_entry_from_record(
-                        record, task.dlq_error)
-            with self._records_lock:
-                self._records[task.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(requeue)
+                self._dlq[task.task_id] = self._dlq_entry_from_record(
+                    record, task.dlq_error)
+            self._records[task.task_id] = record
+        self._queue.extend(requeue)
         self.recovered_tasks = len(state.tasks)
         self._m_recovered.inc(len(state.tasks))
         self._m_accepted.inc(len(state.tasks))
@@ -775,7 +748,8 @@ class LiveDispatcher:
                          from_snapshot=state.from_snapshot)
 
     def _adopt_inflight(self, executor: _ExecutorSession, echo) -> None:
-        """Adopt REGISTER-echoed tasks the executor still holds.
+        """Adopt REGISTER-echoed tasks the executor still holds (state
+        lock held).
 
         Only QUEUED records whose attempt counter equals the echoed
         attempt are adopted — equality proves the executor holds the
@@ -791,46 +765,39 @@ class LiveDispatcher:
             attempt = entry.get("attempt")
             if not task_id or not isinstance(attempt, int):
                 continue
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
+            record = self._records.get(task_id)
+            if (record is None or record.state is not TaskState.QUEUED
+                    or record.attempts != attempt):
                 continue
-            adopted = False
-            with record.lock:
-                if record.state is TaskState.QUEUED and record.attempts == attempt:
-                    record.state = TaskState.DISPATCHED
-                    record.executor_id = executor.executor_id
-                    record.delivered = True
-                    record.dispatch_mode = "adopted"
-                    record.timeline.dispatched = self._now()
-                    ctx = self.spans.record(
-                        task_id, "notify", record.timeline.dispatched,
-                        attempt=record.attempts,
-                        executor=executor.executor_id, mode="adopted",
-                    )
-                    record.trace_wire = ctx.to_wire() if ctx is not None else None
-                    with executor.lock:
-                        executor.busy.add(task_id)
-                    # Recovery queued this task before the executor
-                    # reappeared; pull the entry so the queue stat and
-                    # idle-notify fan-out reflect reality (claimers
-                    # would skip the now-DISPATCHED record anyway).
-                    with self._queue_lock:
-                        try:
-                            self._queue.remove(task_id)
-                        except ValueError:
-                            pass
-                    adopted = True
-            if adopted:
-                self._m_adopted.inc()
-                self._journal_append("dispatch", task_id,
-                                     attempt=attempt,
-                                     executor=executor.executor_id,
-                                     adopted=True)
-                if self.events.enabled:
-                    self.events.emit(ev.TASK_DISPATCH, task_id,
-                                     executor=executor.executor_id,
-                                     attempt=attempt, mode="adopted")
+            record.state = TaskState.DISPATCHED
+            record.executor_id = executor.executor_id
+            record.delivered = True
+            record.dispatch_mode = "adopted"
+            record.timeline.dispatched = self._now()
+            ctx = self.spans.record(
+                task_id, "notify", record.timeline.dispatched,
+                attempt=record.attempts,
+                executor=executor.executor_id, mode="adopted",
+            )
+            record.trace_wire = ctx.to_wire() if ctx is not None else None
+            executor.busy.add(task_id)
+            # Recovery queued this task before the executor reappeared;
+            # pull the entry so the queue stat and idle-notify fan-out
+            # reflect reality (claimers would skip the now-DISPATCHED
+            # record anyway).
+            try:
+                self._queue.remove(task_id)
+            except ValueError:
+                pass
+            self._m_adopted.inc()
+            self._journal_append("dispatch", task_id,
+                                 attempt=attempt,
+                                 executor=executor.executor_id,
+                                 adopted=True)
+            if self.events.enabled:
+                self.events.emit(ev.TASK_DISPATCH, task_id,
+                                 executor=executor.executor_id,
+                                 attempt=attempt, mode="adopted")
 
     @staticmethod
     def _dlq_entry_from_record(record: _LiveRecord, error: str = "") -> dict:
@@ -880,12 +847,12 @@ class LiveDispatcher:
     # -- dead-letter queue -----------------------------------------------------
     def dlq_list(self) -> list[dict]:
         """Current quarantine, oldest first."""
-        with self._dlq_lock:
+        with self._state:
             entries = list(self._dlq.values())
         return sorted(entries, key=lambda e: e.get("quarantined_t_wall", 0.0))
 
     def dlq_entry(self, task_id: str) -> Optional[dict]:
-        with self._dlq_lock:
+        with self._state:
             entry = self._dlq.get(task_id)
         return dict(entry) if entry is not None else None
 
@@ -897,29 +864,22 @@ class LiveDispatcher:
         success reaches it only through GET_RESULTS polling — the DLQ
         retry is an operator-plane action.
         """
-        with self._dlq_lock:
+        with self._state:
             entry = self._dlq.pop(task_id, None)
-        if entry is None:
-            return False
-        with self._records_lock:
-            record = self._records.get(task_id)
-        if record is None:
-            return False  # orphan DLQ entry (record evicted); drop it
-        with record.lock:
-            record.state = TaskState.QUEUED
+            record = self._records.get(task_id) if entry is not None else None
+            if record is None:
+                return False  # not quarantined, or an orphan entry (record evicted)
             record.attempts = 0
-            record.executor_id = ""
-            record.delivered = False
             record.result = None
             record.acked = False
             record.timeline = TaskTimeline(submitted=self._now())
-            self.spans.record(task_id, "enqueue", self._now(),
-                              attempt=1, reason="dlq-retry")
-            with self._queue_lock:
-                self._queue.append(task_id)
-        self._journal_append("dlq-retry", task_id)
-        self.events.emit(ev.TASK_DLQ_RETRY, task_id)
-        for executor in self._pick_idle_executors(1):
+            span_rows: list[tuple] = []
+            self._requeue(record, "dlq-retry", False, span_rows, [])
+            self.spans.record_many(span_rows)
+            self._journal_append("dlq-retry", task_id)
+            self.events.emit(ev.TASK_DLQ_RETRY, task_id)
+            wake = self._pick_idle_executors(1)
+        for executor in wake:
             self._send_notify(executor)
         return True
 
@@ -989,21 +949,26 @@ class LiveDispatcher:
         even against agents that heartbeat without stats or not at all.
         """
         now = time.monotonic()
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        table = {}
-        for executor in executors:
-            with executor.lock:
-                info = {
+        with self._state:
+            table = {
+                executor.executor_id: {
                     "busy_tasks": len(executor.busy),
                     "pipeline": executor.pipeline,
                     "age_s": max(0.0, now - executor.last_seen),
                 }
-            telemetry = self.timeseries.latest(executor.executor_id)
+                for executor in self._executors.values()
+            }
+            peers = {
+                shard: {"queued": info["queued"],
+                        "age_s": max(0.0, now - info["t"]),
+                        "health": info.get("health")}
+                for shard, info in self._peer_depths.items()
+            }
+        for executor_id, info in table.items():
+            telemetry = self.timeseries.latest(executor_id)
             for key, value in telemetry.items():
                 if key != "_t":
                     info[key] = value
-            table[executor.executor_id] = info
         snapshot = {
             "dispatcher": self.stats().as_dict(),
             "cluster": self.timeseries.cluster(),
@@ -1031,13 +996,6 @@ class LiveDispatcher:
             "health": self.health_snapshot(),
         }
         if self.shard_id is not None:
-            with self._peer_lock:
-                peers = {
-                    shard: {"queued": info["queued"],
-                            "age_s": max(0.0, now - info["t"]),
-                            "health": info.get("health")}
-                    for shard, info in self._peer_depths.items()
-                }
             snapshot["federation"] = {
                 "shard_id": self.shard_id,
                 "peers": peers,
@@ -1054,7 +1012,7 @@ class LiveDispatcher:
         if self._closing.is_set():
             return
         self._closing.set()
-        with self._peer_lock:
+        with self._state:
             links = list(self._peer_links.values())
             self._peer_links.clear()
         for link in links:
@@ -1067,9 +1025,8 @@ class LiveDispatcher:
                 server.close()
             except OSError:
                 pass
-        with self._exec_lock:
+        with self._state:
             sessions = [e.conn for e in self._executors.values()]
-        with self._client_lock:
             sessions += [c.conn for c in self._clients.values()]
         for conn in sessions:
             conn.close()
@@ -1104,51 +1061,59 @@ class LiveDispatcher:
 
     def _sweep(self) -> None:
         now = time.monotonic()
-        self._sample_self(now)
-        dead: list[str] = []
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        if self.heartbeat_interval is not None:
-            deadline = self.heartbeat_interval * self.heartbeat_miss_budget
-            for executor in executors:
-                with executor.lock:
-                    if now - executor.last_seen > deadline:
-                        dead.append(executor.executor_id)
-        overdue_notifies: list[tuple[str, TaskResult]] = []
+        overdue: list[_LiveRecord] = []
+        cutoff = 0.0
         if self.replay_timeout is not None:
-            now_rel = now - self._started
-            with self._records_lock:
+            # The replay scan walks every record, so only the copy of
+            # the table is made under the state lock; the filter runs
+            # outside it and each candidate is re-checked under it.
+            cutoff = now - self._started - self.replay_timeout
+            with self._state:
                 records = list(self._records.values())
-            for record in records:
-                with record.lock:
-                    if (
-                        record.state is TaskState.DISPATCHED
-                        and now_rel - record.timeline.dispatched > self.replay_timeout
-                    ):
-                        notify = self._requeue_dispatched(
-                            record, f"no response within replay_timeout={self.replay_timeout}s"
-                        )
-                        if notify is not None:
-                            overdue_notifies.append(notify)
+            overdue = [record for record in records
+                       if record.state is TaskState.DISPATCHED
+                       and record.timeline.dispatched < cutoff]
+        dropped: list[Connection] = []
+        notifies: list[tuple[str, TaskResult]] = []
         wake: list[_ExecutorSession] = []
-        with self._queue_lock:
+        with self._state:
+            self._sample_self(now)
+            if self.heartbeat_interval is not None:
+                deadline = self.heartbeat_interval * self.heartbeat_miss_budget
+                for executor in list(self._executors.values()):
+                    if now - executor.last_seen > deadline:
+                        dropped.append(self._drop_locked(
+                            executor.executor_id, None, "heartbeat-timeout",
+                            ev.EXECUTOR_EVICT, notifies))
+                        self._m_dead.inc()
+            span_rows: list[tuple] = []
+            journal_rows: list[dict] = []
+            reason = f"no response within replay_timeout={self.replay_timeout}s"
+            for record in overdue:
+                if (record.state is TaskState.DISPATCHED
+                        and record.timeline.dispatched < cutoff):
+                    notify = self._requeue_dispatched(record, reason, span_rows,
+                                                      journal_rows)
+                    if notify is not None:
+                        notifies.append(notify)
+            self._flush_rows(span_rows, journal_rows)
             qlen = len(self._queue)
-        if qlen:
-            # Anti-starvation: a lost NOTIFY frame must not strand
-            # queued work next to idle executors forever.
-            for executor in executors:
-                with executor.lock:
+            if qlen:
+                # Anti-starvation: a lost NOTIFY frame must not strand
+                # queued work next to idle executors forever.
+                for executor in self._executors.values():
                     if not executor.busy:
                         executor.notified = False
-            wake = self._pick_idle_executors(qlen)
-        for executor_id in dead:
-            if self._drop_executor(executor_id, reason="heartbeat-timeout",
-                                   kind=ev.EXECUTOR_EVICT):
-                self._m_dead.inc()
+                wake = self._pick_idle_executors(qlen)
+            idle = sum(1 for executor_id, executor in self._executors.items()
+                       if not executor.busy
+                       and not executor_id.startswith(PEER_PREFIX))
+        for conn in dropped:
+            conn.close()
         for executor in wake:
             self._send_notify(executor)
-        self._notify_clients(overdue_notifies)
-        self._watchdog_tick(now, qlen, executors)
+        self._notify_clients(notifies)
+        self._watchdog_tick(now, qlen, idle)
         if self.shard_id is not None:
             self._federation_tick(now, qlen)
         # Journal hygiene: fold a long tail into a snapshot off the hot
@@ -1184,27 +1149,20 @@ class LiveDispatcher:
         return None
 
     def _check_lock_waits(self) -> Optional[str]:
-        worst = max(self._queue_lock.drain(), self._records_lock.drain(),
-                    self._exec_lock.drain())
+        worst = self._state.drain()
         if worst > LOCK_WAIT_DEGRADED:
-            return f"leaf lock convoy: {worst:.2f}s contended wait"
+            return f"state lock convoy: {worst:.2f}s contended wait"
         return None
 
-    def _watchdog_tick(self, now: float, qlen: int,
-                       executors: list[_ExecutorSession]) -> None:
+    def _watchdog_tick(self, now: float, qlen: int, idle: int) -> None:
         """Evaluate every watchdog into the ``degraded`` reasons list.
 
         Runs on the monitor thread each sweep; transitions (a reason
         appearing) land in the flight ring so a later dump shows when
         degradation started, not just that it existed at dump time.
+        *idle* counts idle real executors (peer links have no local
+        capacity).
         """
-        idle = 0
-        for executor in executors:
-            if executor.executor_id.startswith(PEER_PREFIX):
-                continue  # peer links have no local capacity
-            with executor.lock:
-                if not executor.dead and not executor.busy:
-                    idle += 1
         reasons = []
         stall = self._stall.observe(now, qlen, self._h_dispatch.count, idle)
         if stall:
@@ -1236,14 +1194,9 @@ class LiveDispatcher:
         """Dump-time context: the exact open-task inventory, so the
         doctor never has to reconstruct it from a (possibly wrapped)
         event ring."""
-        with self._records_lock:
-            records = list(self._records.values())
-        inflight = []
-        for record in records:
-            with record.lock:
-                if record.state is TaskState.DISPATCHED:
-                    inflight.append(record.spec.task_id)
-        with self._queue_lock:
+        with self._state:
+            inflight = [record.spec.task_id for record in self._records.values()
+                        if record.state is TaskState.DISPATCHED]
             queued = list(self._queue)
         return {
             "inflight": inflight,
@@ -1281,21 +1234,12 @@ class LiveDispatcher:
 
         Same clock and store as the heartbeat-carried executor stats,
         so the derived cluster gauges (utilization, dispatch rate,
-        efficiency) always read consistently.
+        efficiency) always read consistently.  State lock held.
         """
-        with self._queue_lock:
-            queued = len(self._queue)
-        with self._exec_lock:
-            executors = list(self._executors.values())
-        busy = 0
-        for executor in executors:
-            with executor.lock:
-                if executor.busy:
-                    busy += 1
         self.timeseries.ingest(DISPATCHER_SOURCE, now, {
-            "queued": queued,
-            "registered": len(executors),
-            "busy": busy,
+            "queued": len(self._queue),
+            "registered": len(self._executors),
+            "busy": sum(1 for e in self._executors.values() if e.busy),
             "accepted": self._m_accepted.value,
             "completed": self._m_completed.value,
             "failed": self._m_failed.value,
@@ -1305,21 +1249,17 @@ class LiveDispatcher:
             "exec_sum_s": self._h_exec.sum,
         })
 
-    def _exec_get(self, executor_id: str) -> Optional[_ExecutorSession]:
-        with self._exec_lock:
-            return self._executors.get(executor_id)
-
     def _touch(self, executor_id: str) -> None:
-        executor = self._exec_get(executor_id)
-        if executor is not None:
-            with executor.lock:
+        with self._state:
+            executor = self._executors.get(executor_id)
+            if executor is not None:
                 executor.last_seen = time.monotonic()
 
     # -- client protocol ------------------------------------------------------
     def _on_create_instance(self, session: "_Session", msg: Message) -> None:
         requested = msg.payload.get("epr")
         stale_conn: Optional[Connection] = None
-        with self._client_lock:
+        with self._state:
             if requested:
                 # A reconnecting client resumes its instance: results
                 # settled while it was away stay queryable under the
@@ -1348,125 +1288,119 @@ class LiveDispatcher:
             return
         client_id = role[1]
         tasks = [task_from_dict(t) for t in msg.payload.get("tasks", ())]
-        # Admission control: the whole bundle is accepted or refused
-        # atomically — partial acceptance would force clients to diff
-        # their bundles against an ack they cannot correlate.
-        if self.queue_limit is not None and tasks:
-            with self._queue_lock:
-                qlen = len(self._queue)
-            if qlen + len(tasks) > self.queue_limit:
-                self._m_rejects.inc()
-                self.events.emit(ev.SUBMIT_REJECT, client_id,
-                                 bundle=len(tasks), queued=qlen,
-                                 limit=self.queue_limit)
-                session.conn.send(
-                    Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
-                            payload={"retry_after": self.reject_retry_after,
-                                     "queued": qlen,
-                                     "limit": self.queue_limit})
-                )
-                return
         now = self._now()
         bundle = len(tasks)
-        with self._records_lock:
-            # Dedupe against known ids: a client retrying a SUBMIT whose
-            # ack was lost (or rejected bundle it re-sends) must not
-            # double-enqueue — resubmission is idempotent per task id.
-            fresh = [spec for spec in tasks if spec.task_id not in self._records]
-            dup_records = [self._records[spec.task_id] for spec in tasks
-                           if spec.task_id in self._records]
-        # A duplicate of an already-settled task (resubmission after a
-        # lost ack, or a reused journal directory) must still converge:
-        # its original CLIENT_NOTIFY may have gone out long ago, so the
-        # stored result is re-pushed to the submitter below.  The
-        # future's first-wins rule dedupes on the client.
-        settled_dupes: list[TaskResult] = []
-        for record in dup_records:
-            with record.lock:
-                if record.result is not None:
-                    settled_dupes.append(record.result)
-        journaled = self.journal is not None and bool(fresh)
-        if journaled:
+        journaled = self.journal is not None
+        wake: list[_ExecutorSession] = []
+        with self._state:
+            qlen = len(self._queue)
+            # Admission control: the whole bundle is accepted or refused
+            # atomically — partial acceptance would force clients to diff
+            # their bundles against an ack they cannot correlate.
+            admitted = (self.queue_limit is None or not tasks
+                        or qlen + bundle <= self.queue_limit)
+            if admitted:
+                # Dedupe against known ids: a client retrying a SUBMIT
+                # whose ack was lost (or a rejected bundle it re-sends)
+                # must not double-enqueue — resubmission is idempotent
+                # per task id.  A duplicate of an already-settled task
+                # (resubmission after a lost ack, or a reused journal
+                # directory) must still converge: its original
+                # CLIENT_NOTIFY may have gone out long ago, so the
+                # stored result is re-pushed to the submitter below.
+                # The future's first-wins rule dedupes on the client.
+                fresh = [_LiveRecord(spec, client_id) for spec in tasks
+                         if spec.task_id not in self._records]
+                settled_dupes = [
+                    (client_id, self._records[spec.task_id].result)
+                    for spec in tasks if spec.task_id in self._records
+                    and self._records[spec.task_id].result is not None]
+                if not (journaled and fresh):
+                    wake = self._enqueue_submitted(fresh, client_id, now, bundle)
+        if not admitted:
+            self._m_rejects.inc()
+            self.events.emit(ev.SUBMIT_REJECT, client_id,
+                             bundle=bundle, queued=qlen,
+                             limit=self.queue_limit)
+            session.conn.send(
+                Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
+                        payload={"retry_after": self.reject_retry_after,
+                                 "queued": qlen,
+                                 "limit": self.queue_limit})
+            )
+            return
+        if journaled and fresh:
             # Durable-before-accept: one group commit covers the bundle
             # and runs before any dispatcher state changes, so a
             # SUBMIT_ACK is a promise the tasks survive a crash.  Specs
             # are stored as their sparse wire dicts and the whole
             # bundle is buffered under one lock — the WAL cost of a
-            # submit is a few dict keys per task.
+            # submit is a few dict keys per task.  The commit barrier
+            # waits on fsync, so it runs outside the state lock.
             self.journal.append_many([
-                {"k": "submit", "id": spec.task_id,
-                 "spec": _journal_spec(spec),
+                {"k": "submit", "id": record.spec.task_id,
+                 "spec": _journal_spec(record.spec),
                  "client": client_id}
-                for spec in fresh
+                for record in fresh
             ])
-            # Start the write+fsync NOW and overlap it with the record
-            # building below; the commit barrier then has little or
-            # nothing left to wait for.
-            self.journal.request_sync()
-        new_records: list[_LiveRecord] = []
-        for spec in fresh:
-            record = self._new_record(spec, client_id)
-            record.timeline.submitted = now
-            new_records.append(record)
-        if journaled and not self.journal.commit():
-            # The journal cannot confirm durability (fsync failure
-            # or commit timeout): acking anyway would silently void
-            # the whole crash-safety promise.  Refuse the bundle —
-            # the client's capped-backoff resubmission converges if
-            # the stall was transient, and nothing was enqueued (the
-            # built records are discarded), so no state needs
-            # unwinding.
-            self._m_rejects.inc()
-            self.events.emit(ev.SUBMIT_REJECT, client_id,
-                             bundle=bundle, reason="journal")
-            session.conn.send(
-                Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
-                        payload={"retry_after": self.reject_retry_after,
-                                 "reason": "journal"})
-            )
-            return
-        if new_records:
+            if not self.journal.commit():
+                # The journal cannot confirm durability (fsync failure
+                # or commit timeout): acking anyway would silently void
+                # the whole crash-safety promise.  Refuse the bundle —
+                # the client's capped-backoff resubmission converges if
+                # the stall was transient, and nothing was enqueued (the
+                # built records are discarded), so no state needs
+                # unwinding.
+                self._m_rejects.inc()
+                self.events.emit(ev.SUBMIT_REJECT, client_id,
+                                 bundle=bundle, reason="journal")
+                session.conn.send(
+                    Message(MessageType.SUBMIT_REJECT, sender="dispatcher",
+                            payload={"retry_after": self.reject_retry_after,
+                                     "reason": "journal"})
+                )
+                return
+            with self._state:
+                wake = self._enqueue_submitted(fresh, client_id, now, bundle)
+        session.conn.send(
+            Message(MessageType.SUBMIT_ACK, sender="dispatcher",
+                    payload={"accepted": bundle})
+        )
+        self._notify_clients(settled_dupes)
+        for executor in wake:
+            self._send_notify(executor)
+
+    def _enqueue_submitted(self, records: list[_LiveRecord], client_id: str,
+                           now: float, bundle: int) -> list[_ExecutorSession]:
+        """Admit a SUBMIT bundle's fresh records (state lock held);
+        returns the idle executors to NOTIFY."""
+        if records:
             # Two collector-lock round trips per bundle, not three per
             # task: open every trace, then append the submit/enqueue
             # pairs in one batch.
-            self.spans.begin_many([r.spec.task_id for r in new_records])
+            self.spans.begin_many([r.spec.task_id for r in records])
             submit_attrs = (("client", client_id), ("bundle", bundle))
             enqueue_attrs = (("reason", "submit"),)
             rows = []
-            for record in new_records:
+            for record in records:
                 task_id = record.spec.task_id
+                record.timeline.submitted = now
                 rows.append((task_id, "submit", now, None, 0, submit_attrs))
                 rows.append((task_id, "enqueue", now, None, 1, enqueue_attrs))
+                self._records[task_id] = record
+                self._queue.append(task_id)
             self.spans.record_many(rows)
-        # Records must be resolvable before their queue entries are
-        # poppable: claimers drop queue ids with no backing record.
-        with self._records_lock:
-            for record in new_records:
-                self._records[record.spec.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(record.spec.task_id for record in new_records)
-        if new_records:
-            self._m_accepted.inc(len(new_records))
+            self._m_accepted.inc(len(records))
             if self.flight.enabled:
-                for record in new_records:
+                for record in records:
                     self.flight.record(fl.QUEUE_ENQUEUE, record.spec.task_id)
             if self.events.enabled:
                 # Guarded: per-task emission must cost nothing when no
                 # event log is attached (the common case).
-                for record in new_records:
+                for record in records:
                     self.events.emit(ev.TASK_SUBMIT, record.spec.task_id,
                                      client=client_id, bundle=bundle)
-        idle_to_notify = self._pick_idle_executors(len(tasks))
-        session.conn.send(
-            Message(MessageType.SUBMIT_ACK, sender="dispatcher",
-                    payload={"accepted": len(tasks)})
-        )
-        if settled_dupes:
-            self._notify_clients(
-                [(client_id, result) for result in settled_dupes]
-            )
-        for executor in idle_to_notify:
-            self._send_notify(executor)
+        return self._pick_idle_executors(bundle)
 
     def _on_get_results(self, session: "_Session", msg: Message) -> None:
         # Results are pushed via CLIENT_NOTIFY; GET_RESULTS answers with
@@ -1475,15 +1409,11 @@ class LiveDispatcher:
         if role is None or role[0] != "client":
             return
         client_id = role[1]
-        from repro.live.protocol import result_to_dict
-
-        with self._records_lock:
-            records = list(self._records.values())
-        finished = []
-        for record in records:
-            with record.lock:
-                if record.client_id == client_id and record.result is not None:
-                    finished.append(result_to_dict(record.result))
+        with self._state:
+            finished = [result_to_dict(record.result)
+                        for record in self._records.values()
+                        if record.client_id == client_id
+                        and record.result is not None]
         session.conn.send(
             Message(MessageType.RESULTS, sender="dispatcher", payload={"results": finished})
         )
@@ -1491,7 +1421,7 @@ class LiveDispatcher:
     def _on_destroy_instance(self, session: "_Session", msg: Message) -> None:
         role = session.role
         if role and role[0] == "client":
-            with self._client_lock:
+            with self._state:
                 current = self._clients.get(role[1])
                 if current is not None and current.conn is session.conn:
                     self._clients.pop(role[1], None)
@@ -1504,7 +1434,7 @@ class LiveDispatcher:
             return
         reconnect = bool(msg.payload.get("reconnect"))
         pipeline = int(msg.payload.get("pipeline", 1) or 1)
-        with self._exec_lock:
+        with self._state:
             existing = executor_id in self._executors
         if existing:
             if not reconnect:
@@ -1516,27 +1446,30 @@ class LiveDispatcher:
             # half-open) session; the old in-flight tasks replay.
             self._drop_executor(executor_id)
         executor = _ExecutorSession(executor_id, session.conn, pipeline=pipeline)
-        with self._exec_lock:
-            if executor_id in self._executors:
-                session.conn.send(
-                    Message(MessageType.ERROR, payload={"error": "duplicate executor id"})
-                )
-                return
-            self._executors[executor_id] = executor
-            if reconnect:
-                self._m_reconnects.inc()
-        session.role = ("executor", executor_id)
-        self.events.emit(ev.EXECUTOR_REGISTER, executor_id,
-                         reconnect=reconnect, pipeline=executor.pipeline)
-        # Inflight echo: tasks the executor already
-        # executed (or still holds) across a dispatcher restart.  A
-        # matching attempt adopts the dispatch instead of re-running it
-        # elsewhere; a mismatch means the task was already superseded —
-        # the executor's resent result will be dropped as stale.
-        self._adopt_inflight(executor, msg.payload.get("inflight") or ())
+        notify = False
+        with self._state:
+            registered = executor_id not in self._executors
+            if registered:
+                self._executors[executor_id] = executor
+                session.role = ("executor", executor_id)
+                if reconnect:
+                    self._m_reconnects.inc()
+                self.events.emit(ev.EXECUTOR_REGISTER, executor_id,
+                                 reconnect=reconnect, pipeline=executor.pipeline)
+                # Inflight echo: tasks the executor already executed (or
+                # still holds) across a dispatcher restart.  A matching
+                # attempt adopts the dispatch instead of re-running it
+                # elsewhere; a mismatch means the task was already
+                # superseded — the executor's resent result will be
+                # dropped as stale.
+                self._adopt_inflight(executor, msg.payload.get("inflight") or ())
+                notify = executor.notified = bool(self._queue)
+        if not registered:
+            session.conn.send(
+                Message(MessageType.ERROR, payload={"error": "duplicate executor id"})
+            )
+            return
         session.conn.send(Message(MessageType.REGISTER_ACK, sender="dispatcher"))
-        with self._queue_lock:
-            notify = bool(self._queue)
         if notify:
             self._send_notify(executor)
 
@@ -1547,8 +1480,8 @@ class LiveDispatcher:
             session.role = None
 
     def _on_heartbeat(self, session: "_Session", msg: Message) -> None:
-        # Receipt alone refreshes ``last_seen`` (see _Session._handle).
-        # Executors may piggy-back a compact stats dict; it folds into
+        # Receipt alone refreshes ``last_seen``.  Executors may
+        # piggy-back a compact stats dict; it folds into
         # the rolling time-series store.  Only sessions that completed
         # REGISTER may write — a raw peer spraying junk heartbeats must
         # not mint series.
@@ -1569,6 +1502,7 @@ class LiveDispatcher:
             return
         if role is None or role[0] != "executor":
             return
+        self._touch(role[1])
         stats = stats_from_payload(msg.payload)
         if stats is not None:
             self.timeseries.ingest(role[1], time.monotonic(), stats)
@@ -1576,7 +1510,7 @@ class LiveDispatcher:
     # -- federation protocol ----------------------------------------------------
     def _gossip_message(self, rsvp: bool) -> Message:
         """Our side of the depth gossip, as a HEARTBEAT frame."""
-        with self._queue_lock:
+        with self._state:
             qlen = len(self._queue)
         payload: dict = {
             "shard": {
@@ -1614,7 +1548,6 @@ class LiveDispatcher:
         elif session.role[1] != peer_id:
             return  # a session cannot change shard identity mid-stream
         self._ensure_peer_session(peer_id, session.conn)
-        self._touch(PEER_PREFIX + peer_id)
         self.flight.record(fl.GOSSIP, peer_id)
         self._note_peer_depth(peer_id, shard.get("stats") or {},
                               health=shard.get("health"))
@@ -1624,17 +1557,18 @@ class LiveDispatcher:
     def _ensure_peer_session(self, peer_id: str, conn: Connection) -> _ExecutorSession:
         """Register (or refresh) the pseudo-executor for a peer shard."""
         executor_id = PEER_PREFIX + peer_id
-        with self._exec_lock:
+        with self._state:
             existing = self._executors.get(executor_id)
-        if existing is not None:
-            if existing.conn is conn:
+            if existing is not None and existing.conn is conn:
+                existing.last_seen = time.monotonic()
                 return existing
+        if existing is not None:
             # A reconnecting peer supersedes its old (likely half-open)
             # session; its in-flight stolen-out tasks replay here.
             self._drop_executor(executor_id, reason="peer-reconnect")
         executor = _ExecutorSession(executor_id, conn,
                                     pipeline=max(2, self.steal_batch_max))
-        with self._exec_lock:
+        with self._state:
             self._executors[executor_id] = executor
         return executor
 
@@ -1648,7 +1582,7 @@ class LiveDispatcher:
             queued = int(stats.get("queued", 0))
         except (TypeError, ValueError):
             queued = 0
-        with self._peer_lock:
+        with self._state:
             self._peer_depths[peer_id] = {
                 "queued": max(0, queued),
                 "health": health if isinstance(health, dict) else None,
@@ -1657,11 +1591,10 @@ class LiveDispatcher:
 
     def _local_idle_capacity(self) -> int:
         """Spare slots on real (non-peer) executors — what a steal
-        could actually put to work right now."""
-        with self._exec_lock:
-            executors = [e for executor_id, e in self._executors.items()
-                         if not executor_id.startswith(PEER_PREFIX)]
-        return sum(executor.capacity() for executor in executors)
+        could actually put to work right now (state lock held)."""
+        return sum(executor.capacity()
+                   for executor_id, executor in self._executors.items()
+                   if not executor_id.startswith(PEER_PREFIX))
 
     def _on_steal_request(self, session: "_Session", msg: Message) -> None:
         """Donor side of work stealing: grant queued (never in-flight)
@@ -1677,27 +1610,26 @@ class LiveDispatcher:
         except (TypeError, ValueError):
             want = 0
         granted: list[_LiveRecord] = []
-        if want > 0:
-            with self._queue_lock:
-                qlen = len(self._queue)
+        with self._state:
             # Keep enough queued work to feed our own idle capacity
             # (plus the configured floor); only the surplus travels.
-            surplus = qlen - max(self._local_idle_capacity(), self.steal_min_queue)
+            surplus = len(self._queue) - max(self._local_idle_capacity(),
+                                             self.steal_min_queue)
             grant = min(want, self.steal_batch_max, surplus)
-            if grant > 0:
+            if grant > 0 and self._executors.get(executor.executor_id) is executor:
                 granted = self._claim_many(executor, grant, mode="steal")
-        reply = Message(
-            MessageType.STEAL_GRANT, sender="dispatcher",
-            payload={
-                "shard": self.shard_id,
-                # The attempt echo: the thief returns it with each
-                # result so a donor-side replay in the meantime makes
-                # the late result stale instead of double-settling.
-                "tasks": [{"task": task_to_dict(record.spec),
-                           "attempt": record.attempts}
-                          for record in granted],
-            },
-        )
+            reply = Message(
+                MessageType.STEAL_GRANT, sender="dispatcher",
+                payload={
+                    "shard": self.shard_id,
+                    # The attempt echo: the thief returns it with each
+                    # result so a donor-side replay in the meantime makes
+                    # the late result stale instead of double-settling.
+                    "tasks": [{"task": task_to_dict(record.spec),
+                               "attempt": record.attempts}
+                              for record in granted],
+                },
+            )
         # An empty grant still goes out: it clears the thief's
         # outstanding-request flag so it can try another peer.
         session.conn.send(reply)
@@ -1719,102 +1651,60 @@ class LiveDispatcher:
         echo; a duplicate of an already-settled task immediately
         re-returns the stored result so both shards converge.
         """
-        accepted: list[_LiveRecord] = []
-        resend: list[tuple[str, TaskResult]] = []
-        now = self._now()
-        client_id = PEER_PREFIX + donor_shard
+        grant: list[tuple[TaskSpec, int]] = []
         for entry in entries:
             if not isinstance(entry, dict):
                 continue
             try:
-                spec = task_from_dict(entry.get("task") or {})
-                attempt = int(entry.get("attempt", 0))
+                grant.append((task_from_dict(entry.get("task") or {}),
+                              int(entry.get("attempt", 0))))
             except (KeyError, TypeError, ValueError):
                 continue
-            with self._records_lock:
+        accepted: list[_LiveRecord] = []
+        resend: list[tuple[str, TaskResult]] = []
+        wake: list[_ExecutorSession] = []
+        now = self._now()
+        client_id = PEER_PREFIX + donor_shard
+        with self._state:
+            for spec, attempt in grant:
                 record = self._records.get(spec.task_id)
-            if record is not None:
-                with record.lock:
+                if record is not None:
                     record.origin_attempt = attempt
-                    stored = record.result if record.state.terminal else None
-                if stored is not None:
-                    resend.append((record.client_id, stored))
-                continue
-            record = self._new_record(spec, client_id)
-            record.origin_shard = donor_shard
-            record.origin_attempt = attempt
-            record.timeline.submitted = now
-            self.spans.begin(spec.task_id)
-            self.spans.record(spec.task_id, "submit", now,
-                              client=client_id, stolen=True)
-            self.spans.record(spec.task_id, "enqueue", now, attempt=1,
-                              reason="stolen")
-            accepted.append(record)
-        if self.journal is not None and accepted:
-            self.journal.append_many([
-                {"k": "submit", "id": record.spec.task_id,
-                 "spec": _journal_spec(record.spec),
-                 "client": client_id,
-                 "origin": {"shard": donor_shard,
-                            "attempt": record.origin_attempt}}
-                for record in accepted
-            ])
-        with self._records_lock:
-            for record in accepted:
-                self._records[record.spec.task_id] = record
-        with self._queue_lock:
-            self._queue.extend(record.spec.task_id for record in accepted)
-        if accepted:
-            self._m_accepted.inc(len(accepted))
-            self._m_stolen_in.inc(len(accepted))
-            self.flight.record(fl.STEAL_INGEST, donor_shard,
-                               tasks=len(accepted))
-            self.events.emit(ev.STEAL_INGEST, donor_shard, tasks=len(accepted))
-            for executor in self._pick_idle_executors(len(accepted)):
-                self._send_notify(executor)
-        if resend:
-            self._notify_clients(resend)
+                    if record.state.terminal and record.result is not None:
+                        resend.append((record.client_id, record.result))
+                    continue
+                record = _LiveRecord(spec, client_id)
+                record.origin_shard = donor_shard
+                record.origin_attempt = attempt
+                record.timeline.submitted = now
+                self.spans.begin(spec.task_id)
+                self.spans.record(spec.task_id, "submit", now,
+                                  client=client_id, stolen=True)
+                self.spans.record(spec.task_id, "enqueue", now, attempt=1,
+                                  reason="stolen")
+                self._records[spec.task_id] = record
+                self._queue.append(spec.task_id)
+                accepted.append(record)
+            if accepted:
+                if self.journal is not None:
+                    self.journal.append_many([
+                        {"k": "submit", "id": record.spec.task_id,
+                         "spec": _journal_spec(record.spec),
+                         "client": client_id,
+                         "origin": {"shard": donor_shard,
+                                    "attempt": record.origin_attempt}}
+                        for record in accepted
+                    ])
+                self._m_accepted.inc(len(accepted))
+                self._m_stolen_in.inc(len(accepted))
+                self.flight.record(fl.STEAL_INGEST, donor_shard,
+                                   tasks=len(accepted))
+                self.events.emit(ev.STEAL_INGEST, donor_shard, tasks=len(accepted))
+                wake = self._pick_idle_executors(len(accepted))
+        for executor in wake:
+            self._send_notify(executor)
+        self._notify_clients(resend)
         return len(accepted)
-
-    def _return_stolen(self, donor_shard: str, results: list[TaskResult]) -> None:
-        """Send settled stolen-task results home over the donor's peer
-        link.  Delivered results are acked + evicted like client
-        notifies; an unreachable donor leaves them terminal and
-        un-acked, so a re-grant after the donor recovers re-returns
-        the stored result instead of re-running the task."""
-        from repro.live.protocol import result_to_dict
-
-        with self._peer_lock:
-            link = self._peer_links.get(donor_shard)
-        entries = []
-        for result in results:
-            with self._records_lock:
-                record = self._records.get(result.task_id)
-            attempt = None
-            exec_seconds = 0.0
-            if record is not None:
-                with record.lock:
-                    attempt = record.origin_attempt
-                    if record.timeline.dispatched:
-                        exec_seconds = max(
-                            0.0,
-                            record.timeline.completed - record.timeline.dispatched,
-                        )
-            entries.append({"result": result_to_dict(result),
-                            "attempt": attempt,
-                            "exec": {"seconds": exec_seconds}})
-        if link is None or not link.send_results(entries):
-            return
-        acked_ids = []
-        for result in results:
-            with self._records_lock:
-                record = self._records.get(result.task_id)
-            if record is not None:
-                with record.lock:
-                    record.acked = True
-            acked_ids.append(result.task_id)
-        self._journal_append("acked", "", ids=acked_ids)
-        self._evict_settled(acked_ids)
 
     def add_peer(self, shard_id: str, endpoint) -> None:
         """Join this shard to a peer (one direction of the mesh).
@@ -1828,30 +1718,29 @@ class LiveDispatcher:
             raise RuntimeError("add_peer() requires a dispatcher with a shard_id")
         from repro.live.federation import PeerLink
 
-        target = Endpoint.parse(endpoint)
-        with self._peer_lock:
-            if shard_id in self._peer_links:
-                return
-            self._peer_links[shard_id] = PeerLink(
-                self, shard_id, target, key=self.key)
+        link = PeerLink(self, shard_id, Endpoint.parse(endpoint), key=self.key)
+        with self._state:
+            self._peer_links.setdefault(shard_id, link)
+
+    def peer_links(self) -> dict:
+        """The outbound peer links, by peer shard id (a copy)."""
+        with self._state:
+            return dict(self._peer_links)
 
     def _federation_tick(self, now: float, qlen: int) -> None:
         """Per-sweep federation duties: gossip over every peer link,
         then steal when this shard is starved (empty queue, spare
         executor capacity) and a fresh-depth peer advertises work."""
-        with self._peer_lock:
+        with self._state:
             links = list(self._peer_links.items())
-        for _, link in links:
-            link.tick(now)
-        if qlen:
-            return
-        idle = self._local_idle_capacity()
-        if idle <= 0:
-            return
-        depth_floor = max(1, self.steal_min_queue)
-        with self._peer_lock:
+            idle = self._local_idle_capacity()
             depths = {shard: dict(info)
                       for shard, info in self._peer_depths.items()}
+        for _, link in links:
+            link.tick(now)
+        if qlen or idle <= 0:
+            return
+        depth_floor = max(1, self.steal_min_queue)
         target = None
         best = 0
         for shard, link in links:
@@ -1869,11 +1758,8 @@ class LiveDispatcher:
     def _steal_hint(self, link) -> None:
         """A donor NOTIFYed our peer link: it has queued work.  Steal
         eagerly if we are starved — without waiting for the next sweep."""
-        with self._queue_lock:
-            qlen = len(self._queue)
-        if qlen:
-            return
-        idle = self._local_idle_capacity()
+        with self._state:
+            idle = 0 if self._queue else self._local_idle_capacity()
         if idle > 0 and link.ready:
             link.maybe_steal(min(idle, self.steal_batch_max))
 
@@ -1882,17 +1768,17 @@ class LiveDispatcher:
         if role is None or role[0] != "executor":
             return
         executor_id = role[1]
-        executor = self._exec_get(executor_id)
-        if executor is None:
-            return
-        with executor.lock:
+        with self._state:
+            executor = self._executors.get(executor_id)
+            if executor is None:
+                return
+            executor.last_seen = time.monotonic()
             executor.notified = False
-        claimed = self._claim_many(executor, executor.capacity(), mode="get-work")
-        if not claimed:
-            session.conn.send(Message(MessageType.NO_WORK, sender="dispatcher"))
-            return
-        session.conn.send(Message(MessageType.WORK, sender="dispatcher",
-                                  payload=self._task_payload(claimed)))
+            claimed = self._claim_many(executor, executor.capacity(), mode="get-work")
+            reply = (Message(MessageType.WORK, sender="dispatcher",
+                             payload=self._task_payload(claimed)) if claimed
+                     else Message(MessageType.NO_WORK, sender="dispatcher"))
+        session.conn.send(reply)
         self._mark_delivered_many(claimed, executor_id)
 
     def _on_result(self, session: "_Session", msg: Message) -> None:
@@ -1919,44 +1805,37 @@ class LiveDispatcher:
         ]
         if not entries:
             return
-        executor = self._exec_get(executor_id)
-        if executor is not None:
-            with executor.lock:
-                for result_payload, _, _ in entries:
-                    executor.busy.discard(result_payload.get("task_id"))
-                executor.notified = False
+        results = [result_from_dict(payload) for payload, _, _ in entries]
         notifies: list[tuple[str, TaskResult]] = []
         settled: list[_LiveRecord] = []
-        results = [result_from_dict(payload) for payload, _, _ in entries]
-        # One records-lock round trip for the whole batch: a pipelined
-        # RESULT frame carries dozens of completions.
-        with self._records_lock:
-            records = [self._records.get(result.task_id) for result in results]
-        # Deferred spans for the whole frame: exec/result pairs (plus
+        # Deferred rows for the whole frame: exec/result pairs (plus
         # any retry-enqueue rows _settle appends) flush through one
-        # record_many below.  Row order = append order = chain order,
-        # so per-task ordering is exactly what the per-task calls gave.
-        # WAL records batch identically (one buffer-lock round trip
-        # per frame; same flush window, so durability is unchanged).
+        # record_many, and the WAL records through one append_many.
+        # Row order = append order = chain order, so per-task ordering
+        # is exactly what per-task calls would give.
         span_rows: list[tuple] = []
+        journal_rows: list[dict] = []
         # Span attrs shared by every row of the frame that can share
         # them: each task's span trace keeps its attrs alive, so a
         # tuple per row would be three more objects per task.
         executor_attr = ("executor", executor_id)
         result_attrs: dict[str, tuple] = {}
-        journal_rows: Optional[list[dict]] = (
-            [] if self.journal is not None else None)
-        for (result_payload, echoed_attempt, exec_info), result, record in zip(
-            entries, results, records
-        ):
-            if not (is_peer and result.executor_id):
-                # Peer-returned results keep the remote executor's
-                # identity when the thief filled it in.
-                result.executor_id = executor_id
-            if record is None:
-                continue
-            with record.lock:
-                if record.state.terminal:
+        claimed: list[_LiveRecord] = []
+        wake: list[_ExecutorSession] = []
+        with self._state:
+            executor = self._executors.get(executor_id)
+            if executor is not None:
+                executor.last_seen = time.monotonic()
+                for result_payload, _, _ in entries:
+                    executor.busy.discard(result_payload.get("task_id"))
+                executor.notified = False
+            for (_, echoed_attempt, exec_info), result in zip(entries, results):
+                if not (is_peer and result.executor_id):
+                    # Peer-returned results keep the remote executor's
+                    # identity when the thief filled it in.
+                    result.executor_id = executor_id
+                record = self._records.get(result.task_id)
+                if record is None or record.state.terminal:
                     continue
                 if echoed_attempt is not None and echoed_attempt != record.attempts:
                     # A superseded attempt (the replay timer already
@@ -1983,33 +1862,25 @@ class LiveDispatcher:
                 span_rows.append(
                     (result.task_id, "result", self._now(), None,
                      record.attempts, attrs))
-                notify_payload = self._settle(record, result, span_rows,
-                                              journal_rows)
-                if notify_payload is not None:
-                    notifies.append(notify_payload)
+                notify = self._settle(record, result, span_rows, journal_rows)
+                if notify is not None:
+                    notifies.append(notify)
                     settled.append(record)
-        if span_rows:
-            self.spans.record_many(span_rows)
-        if journal_rows:
-            self.journal.append_many(journal_rows)
-        # Piggy-back queued work on the acknowledgement {7}, up to the
-        # pipeline's remaining capacity (§3.4 extended).  Never to a
-        # federation peer: stealing is explicit-request-only, a
-        # piggy-backed task would be a push the thief never asked for.
-        claimed: list[_LiveRecord] = []
-        if self.piggyback and executor is not None and not is_peer:
-            claimed = self._claim_many(executor, executor.capacity(), mode="piggyback")
-        wake: list[_ExecutorSession] = []
-        if not claimed:
-            with self._queue_lock:
-                qlen = len(self._queue)
-            if qlen:
+            self._flush_rows(span_rows, journal_rows)
+            # Piggy-back queued work on the acknowledgement {7}, up to
+            # the pipeline's remaining capacity (§3.4 extended).  Never
+            # to a federation peer: stealing is explicit-request-only, a
+            # piggy-backed task would be a push the thief never asked for.
+            if self.piggyback and executor is not None and not is_peer:
+                claimed = self._claim_many(executor, executor.capacity(),
+                                           mode="piggyback")
+            if not claimed and self._queue:
                 # No piggy-back (disabled, or a retry refilled the
                 # queue after the claim): fall back to a NOTIFY push so
                 # idle executors — including this one — pick it up.
-                wake = self._pick_idle_executors(qlen)
-        ack = Message(MessageType.RESULT_ACK, sender="dispatcher",
-                      payload=self._task_payload(claimed))
+                wake = self._pick_idle_executors(len(self._queue))
+            ack = Message(MessageType.RESULT_ACK, sender="dispatcher",
+                          payload=self._task_payload(claimed))
         ack_delivered = True
         try:
             session.conn.send(ack)
@@ -2048,15 +1919,16 @@ class LiveDispatcher:
         )
 
     # -- dispatch internals --------------------------------------------------------
+    # Every helper below runs with the state lock held unless its
+    # docstring says otherwise; none of those sends or closes anything.
     def _claim_many(
         self, executor: _ExecutorSession, limit: int, mode: str
     ) -> list[_LiveRecord]:
         """Claim up to *limit* runnable records for *executor*.
 
-        Lock-free between tables: pop an id (queue lock), resolve it
-        (records lock), transition it (record lock), charge the
-        executor (session lock) — never holding two at once except the
-        documented record→queue/record→session nestings inside helpers.
+        The caller looked *executor* up in the executor table under the
+        same lock acquisition, so the claim cannot race its drop: the
+        whole burst is one state transition.
         """
         claimed: list[_LiveRecord] = []
         # Deferred "notify" spans: one span-lock round trip per claim
@@ -2068,70 +1940,21 @@ class LiveDispatcher:
         # One attrs tuple for every notify span of the burst (each
         # task's trace keeps its attrs alive).
         notify_attrs = (("executor", executor.executor_id), ("mode", mode))
-        journal_batch: Optional[list[dict]] = (
-            [] if self.journal is not None else None)
-        while len(claimed) < limit:
-            # Batched pops: one queue-lock and one records-lock round
-            # trip per claim burst, not per task (the hot path claims
-            # a full pipeline depth at once).
-            want = limit - len(claimed)
-            with self._queue_lock:
-                if not self._queue:
-                    break
-                task_ids = [self._queue.popleft()
-                            for _ in range(min(want, len(self._queue)))]
-            with self._records_lock:
-                records = [self._records.get(task_id) for task_id in task_ids]
-            stop = False
-            for index, record in enumerate(records):
-                if record is None:
-                    continue
-                with record.lock:
-                    if record.state is not TaskState.QUEUED:
-                        continue  # a duplicate queue entry from a replay path
-                    self._mark_dispatched(record, executor, mode, notify_attrs,
-                                          span_batch, journal_batch)
-                task_id = record.spec.task_id
-                undo = False
-                with executor.lock:
-                    if executor.dead:
-                        undo = True
-                    else:
-                        executor.busy.add(task_id)
-                if undo:
-                    # The executor was dropped between our state checks:
-                    # the dispatch never happened, restore the task
-                    # intact — along with the rest of this popped batch,
-                    # which no longer has a taker.  Flush first so the
-                    # undone record's notify span lands ahead of the
-                    # rollback's enqueue span (chain order).
-                    self._flush_notify_spans(span_batch)
-                    span_batch.clear()
-                    self._unclaim(record, executor.executor_id)
-                    rest = task_ids[index + 1:]
-                    if rest:
-                        with self._queue_lock:
-                            self._queue.extendleft(reversed(rest))
-                    stop = True
-                    break
-                claimed.append(record)
-            if stop:
-                break
-        self._flush_notify_spans(span_batch)
-        if journal_batch:
-            self.journal.append_many(journal_batch)
+        journal_batch: list[dict] = []
+        queue = self._queue
+        while len(claimed) < limit and queue:
+            record = self._records.get(queue.popleft())
+            if record is None or record.state is not TaskState.QUEUED:
+                continue  # evicted, or a duplicate queue entry from a replay path
+            self._mark_dispatched(record, executor, mode, notify_attrs,
+                                  span_batch, journal_batch)
+            claimed.append(record)
+        if span_batch:
+            contexts = self.spans.record_many([row for _, row in span_batch])
+            for (record, _row), ctx in zip(span_batch, contexts):
+                record.trace_wire = ctx.to_wire() if ctx is not None else None
+        self._flush_rows((), journal_batch)
         return claimed
-
-    def _flush_notify_spans(
-        self, batch: list[tuple["_LiveRecord", tuple]]
-    ) -> None:
-        """Record a claim burst's "notify" spans in one call and stamp
-        each record's wire trace context from the returned spans."""
-        if not batch:
-            return
-        contexts = self.spans.record_many([row for _, row in batch])
-        for (record, _row), ctx in zip(batch, contexts):
-            record.trace_wire = ctx.to_wire() if ctx is not None else None
 
     @staticmethod
     def _task_payload(claimed: list[_LiveRecord]) -> dict:
@@ -2155,19 +1978,17 @@ class LiveDispatcher:
         mode: str,
         span_attrs: tuple,
         span_rows: list[tuple["_LiveRecord", tuple]],
-        journal_rows: Optional[list[dict]],
+        journal_rows: list[dict],
     ) -> None:
-        """Transition a QUEUED record to DISPATCHED (record lock held).
+        """Transition a QUEUED record to DISPATCHED on *executor*.
 
-        The "notify" span is deferred into *span_rows*; the caller
-        flushes the burst through :meth:`_flush_notify_spans`, which
-        also stamps ``record.trace_wire`` — before any frame is built
-        from it (``_task_payload`` runs after the claim returns).
-        The dispatch WAL record defers into *journal_rows* the same
-        way (``None`` when no journal is attached): dispatch records
-        ride the flush window anyway, so a crash may lose the last
-        ~20 ms of transitions — recovery then replays those
-        dispatches (at-least-once).
+        The "notify" span is deferred into *span_rows*; the claim
+        burst flushes it and stamps ``record.trace_wire`` from the
+        returned context — before any frame is built from it.  The
+        dispatch WAL record defers into *journal_rows* the same way:
+        dispatch records ride the flush window anyway, so a crash may
+        lose the last ~20 ms of transitions — recovery then replays
+        those dispatches (at-least-once).
         """
         record.state = TaskState.DISPATCHED
         record.attempts += 1
@@ -2175,65 +1996,61 @@ class LiveDispatcher:
         record.delivered = False
         record.dispatch_mode = mode
         record.timeline.dispatched = self._now()
+        executor.busy.add(record.spec.task_id)
         self.flight.record(fl.QUEUE_CLAIM, record.spec.task_id)
         span_rows.append((record, (
             record.spec.task_id, "notify", record.timeline.dispatched, None,
             record.attempts, span_attrs,
         )))
-        if journal_rows is not None:
+        if self.journal is not None:
             journal_rows.append({"k": "dispatch", "id": record.spec.task_id,
                                  "attempt": record.attempts,
                                  "executor": executor.executor_id})
 
-    def _unclaim(self, record: _LiveRecord, executor_id: str) -> None:
-        """Roll back a dispatch that never charged its executor."""
-        with record.lock:
-            if (
-                record.state is TaskState.DISPATCHED
-                and record.executor_id == executor_id
-                and not record.delivered
-            ):
-                record.attempts -= 1
-                record.state = TaskState.QUEUED
-                record.executor_id = ""
-                self.spans.record(
-                    record.spec.task_id, "enqueue", self._now(),
-                    attempt=record.attempts + 1, reason="undelivered",
-                )
-                with self._queue_lock:
-                    self._queue.appendleft(record.spec.task_id)
+    def _flush_rows(self, span_rows, journal_rows: list[dict]) -> None:
+        """Hand a transition's deferred span rows and WAL records to
+        their stores, still under the state lock so that no later
+        transition of the same task can record ahead of them."""
+        if span_rows:
+            self.spans.record_many(span_rows)
+        if journal_rows:
+            self.journal.append_many(journal_rows)
 
     def _mark_delivered_many(
         self, records: list[_LiveRecord], executor_id: str
     ) -> None:
-        """The WORK/ack frame carrying *records* left this process.
+        """The WORK/ack frame carrying *records* left this process
+        (takes the state lock itself; called after the send).
 
-        The "pull" spans for the whole frame flush in one
-        ``record_many`` call — the per-record version cost one span
-        lock per task, twice per dispatch with "notify".
+        A record whose executor was dropped in between is skipped: the
+        drop already requeued it as undelivered.  The "pull" spans for
+        the whole frame flush in one ``record_many`` call.
         """
+        if not records:
+            return
         rows = []
         attrs_by_mode: dict[str, tuple] = {}  # shared per frame, as in _on_result
-        for record in records:
-            with record.lock:
-                if record.state is TaskState.DISPATCHED and record.executor_id == executor_id:
-                    record.delivered = True
-                    now = self._now()
-                    mode = record.dispatch_mode
-                    attrs = attrs_by_mode.get(mode)
-                    if attrs is None:
-                        attrs = attrs_by_mode[mode] = (("executor", executor_id),
-                                                       ("mode", mode))
-                    rows.append((record.spec.task_id, "pull", now, None,
-                                 record.attempts, attrs))
-                    self._h_dispatch.observe(now - record.timeline.submitted)
-                    if self.events.enabled:
-                        self.events.emit(ev.TASK_DISPATCH, record.spec.task_id,
-                                         executor=executor_id,
-                                         attempt=record.attempts,
-                                         mode=record.dispatch_mode)
+        with self._state:
+            for record in records:
+                if record.state is not TaskState.DISPATCHED or record.executor_id != executor_id:
+                    continue
+                record.delivered = True
+                now = self._now()
+                mode = record.dispatch_mode
+                attrs = attrs_by_mode.get(mode)
+                if attrs is None:
+                    attrs = attrs_by_mode[mode] = (("executor", executor_id),
+                                                   ("mode", mode))
+                rows.append((record.spec.task_id, "pull", now, None,
+                             record.attempts, attrs))
+                self._h_dispatch.observe(now - record.timeline.submitted)
+                if self.events.enabled:
+                    self.events.emit(ev.TASK_DISPATCH, record.spec.task_id,
+                                     executor=executor_id,
+                                     attempt=record.attempts,
+                                     mode=record.dispatch_mode)
+            self._flush_rows(rows, ())
         if rows:
-            self.spans.record_many(rows)
             self.flight.record(fl.FRAME_TX, "WORK", tasks=len(rows),
                                executor=executor_id)
         # Chaos hook: die right after a WORK/ack frame left — the task
@@ -2246,22 +2063,20 @@ class LiveDispatcher:
                 self._maybe_crash("after-dispatch")
 
     def _pick_idle_executors(self, limit: int) -> list[_ExecutorSession]:
-        """Idle executors to NOTIFY, at most *limit*."""
-        with self._exec_lock:
-            executors = list(self._executors.values())
+        """Idle executors to NOTIFY, at most *limit*; each is marked
+        notified here and sent its frame by :meth:`_send_notify` once
+        the lock is released."""
         chosen = []
-        for executor in executors:
+        for executor in self._executors.values():
             if len(chosen) >= limit:
                 break
-            with executor.lock:
-                if not executor.dead and not executor.busy and not executor.notified:
-                    executor.notified = True
-                    chosen.append(executor)
+            if not executor.busy and not executor.notified:
+                executor.notified = True
+                chosen.append(executor)
         return chosen
 
     def _send_notify(self, executor: _ExecutorSession) -> None:
-        with executor.lock:
-            executor.notified = True
+        """Send one NOTIFY (state lock NOT held)."""
         self.flight.record(fl.FRAME_TX, "NOTIFY", executor=executor.executor_id)
         try:
             # Shared pre-encoded frame: NOTIFY is identical for every
@@ -2271,127 +2086,105 @@ class LiveDispatcher:
             self._drop_executor(executor.executor_id, only_conn=executor.conn)
 
     def _settle(self, record: _LiveRecord, result: TaskResult,
-                span_rows: Optional[list] = None,
-                journal_rows: Optional[list] = None):
-        """Finalize or retry (record lock held).  Returns client-notify args.
+                span_rows: list, journal_rows: list):
+        """Finalize or retry.  Returns client-notify args.
 
-        With *span_rows*, the retry path's "enqueue" span is appended
-        there for the caller's batched flush (safe: claims only happen
-        on the dispatcher loop thread, so nothing can dispatch the
-        requeued task before the caller flushes).  *journal_rows*
-        batches the result/dlq/requeue WAL records the same way; all
-        of them ride the async flush window either way.
+        Span rows (the retry path's "enqueue") and WAL records (result,
+        dlq, requeue) go to the caller's batches, which it flushes
+        before releasing the state lock.
         """
         # A stolen task settles on its FIRST result, pass or fail: the
         # donor shard owns the retry budget and the DLQ (each task has
         # exactly one home), so retrying or quarantining here would
         # double-count both.  The failure travels back instead.
         stolen = bool(record.origin_shard)
-        if result.ok or stolen or record.attempts > self.max_retries:
-            record.state = TaskState.COMPLETED if result.ok else TaskState.FAILED
-            record.timeline.completed = self._now()
-            result.attempts = record.attempts
-            result.timeline = record.timeline
-            record.result = result
-            if result.ok:
-                self._m_completed.inc()
-                if stolen:
-                    self._m_stolen_done.inc()
-            else:
-                self._m_failed.inc()
-                if stolen:
-                    self._m_stolen_failed.inc()
-            self._h_e2e.observe(record.timeline.completed - record.timeline.submitted)
-            self.flight.record(fl.TASK_SETTLE, record.spec.task_id,
-                               outcome="ok" if result.ok else "fail")
-            if self.events.enabled:
-                self.events.emit(
-                    ev.TASK_SETTLE, record.spec.task_id,
-                    outcome="ok" if result.ok else "fail",
-                    attempts=record.attempts, executor=result.executor_id,
-                )
-            if self.journal is not None:
-                # Guarded block: _journal_result's stripping pass must
-                # cost nothing on journal-less dispatchers.
-                row = {"k": "result", "id": record.spec.task_id,
-                       "outcome": "ok" if result.ok else "fail",
-                       "result": _journal_result(result)}
-                if journal_rows is not None:
-                    journal_rows.append(row)
-                else:
-                    self.journal.append_many([row])
-            if not result.ok and not stolen:
-                # Poison task: the retry budget is spent.  The client
-                # still sees the terminal failure (no hanging futures);
-                # the task is additionally quarantined for inspection
-                # and operator-driven retry (``repro dlq``).
-                with self._dlq_lock:
-                    self._dlq[record.spec.task_id] = self._dlq_entry_from_record(record)
-                self._m_dlq.inc()
-                if journal_rows is not None:
-                    journal_rows.append({"k": "dlq", "id": record.spec.task_id,
-                                         "error": result.error})
-                else:
-                    self._journal_append("dlq", record.spec.task_id,
-                                         error=result.error)
-                self.events.emit(ev.TASK_DLQ, record.spec.task_id,
-                                 attempts=record.attempts, error=result.error)
-            return (record.client_id, result)
-        # retry
-        self._m_retries.inc()
-        self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
+        if not (result.ok or stolen or record.attempts > self.max_retries):
+            self._requeue(record, "failed-result", True, span_rows, journal_rows)
+            return None
+        record.state = TaskState.COMPLETED if result.ok else TaskState.FAILED
+        record.timeline.completed = self._now()
+        result.attempts = record.attempts
+        result.timeline = record.timeline
+        record.result = result
+        if result.ok:
+            self._m_completed.inc()
+            if stolen:
+                self._m_stolen_done.inc()
+        else:
+            self._m_failed.inc()
+            if stolen:
+                self._m_stolen_failed.inc()
+        self._h_e2e.observe(record.timeline.completed - record.timeline.submitted)
+        self.flight.record(fl.TASK_SETTLE, record.spec.task_id,
+                           outcome="ok" if result.ok else "fail")
         if self.events.enabled:
-            self.events.emit(ev.TASK_RETRY, record.spec.task_id,
-                             attempt=record.attempts, reason="failed-result")
+            self.events.emit(
+                ev.TASK_SETTLE, record.spec.task_id,
+                outcome="ok" if result.ok else "fail",
+                attempts=record.attempts, executor=result.executor_id,
+            )
+        if self.journal is not None:
+            # Guarded block: _journal_result's stripping pass must
+            # cost nothing on journal-less dispatchers.
+            journal_rows.append({"k": "result", "id": record.spec.task_id,
+                                 "outcome": "ok" if result.ok else "fail",
+                                 "result": _journal_result(result)})
+        if not result.ok and not stolen:
+            # Poison task: the retry budget is spent.  The client
+            # still sees the terminal failure (no hanging futures);
+            # the task is additionally quarantined for inspection
+            # and operator-driven retry (``repro dlq``).
+            self._dlq[record.spec.task_id] = self._dlq_entry_from_record(record)
+            self._m_dlq.inc()
+            if self.journal is not None:
+                journal_rows.append({"k": "dlq", "id": record.spec.task_id,
+                                     "error": result.error})
+            self.events.emit(ev.TASK_DLQ, record.spec.task_id,
+                             attempts=record.attempts, error=result.error)
+        return (record.client_id, result)
+
+    def _requeue(self, record: _LiveRecord, reason: str, charge_attempt: bool,
+                 span_rows: list, journal_rows: list) -> None:
+        """Put *record* back to QUEUED: the one "back to the queue" path.
+
+        A charged requeue (a failed result, a lost executor, a replay
+        timeout) spent an attempt: it counts a retry, is journalled as
+        ``requeue`` and joins the back of the queue.  An uncharged one
+        is not a retry — an undelivered dispatch (its caller has
+        already returned the attempt) or an operator's DLQ retry (its
+        caller reset the budget) — and goes to the front.
+        """
+        task_id = record.spec.task_id
         record.state = TaskState.QUEUED
         record.executor_id = ""
         record.delivered = False
-        if span_rows is not None:
-            span_rows.append((
-                record.spec.task_id, "enqueue", self._now(), None,
-                record.attempts + 1, (("reason", "retry"),),
-            ))
-        else:
-            self.spans.record(
-                record.spec.task_id, "enqueue", self._now(),
-                attempt=record.attempts + 1, reason="retry",
-            )
-        with self._queue_lock:
-            self._queue.append(record.spec.task_id)
-        if journal_rows is not None and self.journal is not None:
-            journal_rows.append({"k": "requeue", "id": record.spec.task_id,
-                                 "attempt": record.attempts})
-        else:
-            self._journal_append("requeue", record.spec.task_id,
-                                 attempt=record.attempts)
-        return None
-
-    def _requeue_dispatched(self, record: _LiveRecord, reason: str):
-        """Replay a dispatched task whose executor/response is gone
-        (record lock held).  Returns client-notify args when retries
-        are exhausted and the task fails instead."""
-        executor = self._exec_get(record.executor_id)
-        if executor is not None:
-            with executor.lock:
-                executor.busy.discard(record.spec.task_id)
-                executor.notified = False
-        if record.attempts <= self.max_retries:
+        if charge_attempt:
             self._m_retries.inc()
-            self.flight.record(fl.QUEUE_REQUEUE, record.spec.task_id)
+            self.flight.record(fl.QUEUE_REQUEUE, task_id)
             if self.events.enabled:
-                self.events.emit(ev.TASK_RETRY, record.spec.task_id,
+                self.events.emit(ev.TASK_RETRY, task_id,
                                  attempt=record.attempts, reason=reason)
-            record.state = TaskState.QUEUED
-            record.executor_id = ""
-            record.delivered = False
-            self.spans.record(
-                record.spec.task_id, "enqueue", self._now(),
-                attempt=record.attempts + 1, reason=reason,
-            )
-            with self._queue_lock:
-                self._queue.append(record.spec.task_id)
-            self._journal_append("requeue", record.spec.task_id,
-                                 attempt=record.attempts)
+            if self.journal is not None:
+                journal_rows.append({"k": "requeue", "id": task_id,
+                                     "attempt": record.attempts})
+            self._queue.append(task_id)
+        else:
+            self._queue.appendleft(task_id)
+        span_rows.append((task_id, "enqueue", self._now(), None,
+                          record.attempts + 1,
+                          (("reason", _ENQUEUE_SPAN_REASON.get(reason, reason)),)))
+
+    def _requeue_dispatched(self, record: _LiveRecord, reason: str,
+                            span_rows: list, journal_rows: list):
+        """Replay a dispatched task whose executor/response is gone.
+        Returns client-notify args when retries are exhausted and the
+        task fails instead."""
+        executor = self._executors.get(record.executor_id)
+        if executor is not None:
+            executor.busy.discard(record.spec.task_id)
+            executor.notified = False
+        if record.attempts <= self.max_retries:
+            self._requeue(record, reason, True, span_rows, journal_rows)
             return None
         result = TaskResult(
             record.spec.task_id,
@@ -2404,83 +2197,91 @@ class LiveDispatcher:
         # synthetic exec/result/ack spans before settling as failed.
         now = self._now()
         task_id = record.spec.task_id
-        self.spans.record(task_id, "exec", now, attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True, seconds=0.0)
-        self.spans.record(task_id, "result", now, attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True,
-                          outcome="fail", reason=reason)
-        notify = self._settle(record, result)
-        self.spans.record(task_id, "ack", self._now(), attempt=record.attempts,
-                          executor=record.executor_id, synthetic=True,
-                          delivered=False)
+        executor_id = record.executor_id
+        span_rows.append((task_id, "exec", now, None, record.attempts,
+                          (("executor", executor_id), ("synthetic", True),
+                           ("seconds", 0.0))))
+        span_rows.append((task_id, "result", now, None, record.attempts,
+                          (("executor", executor_id), ("synthetic", True),
+                           ("outcome", "fail"), ("reason", reason))))
+        notify = self._settle(record, result, span_rows, journal_rows)
+        span_rows.append((task_id, "ack", self._now(), None, record.attempts,
+                          (("executor", executor_id), ("synthetic", True),
+                           ("delivered", False))))
         return notify
 
-    def _notify_client(self, client_id: str, result: TaskResult) -> None:
-        self._notify_clients([(client_id, result)])
-
     def _notify_clients(self, notifies: list[tuple[str, TaskResult]]) -> None:
-        """Push settled results, one CLIENT_NOTIFY frame per client.
+        """Push settled results home (state lock NOT held): one
+        CLIENT_NOTIFY frame per client, one RESULT frame per donor
+        shard for settled stolen tasks.
 
-        Results settled in the same batch and owned by the same client
-        ride a single frame (``results`` list).
+        Delivered results are marked acked and journalled as such — one
+        ``acked`` record per frame — and become evictable.  (A buffered
+        send is not client receipt: ``acked`` is a best-effort delivery
+        marker, and the client-side future dedupes any re-notify.)  An
+        unreachable donor leaves its results terminal and un-acked, so
+        a re-grant after it recovers re-returns the stored result
+        instead of re-running the task.
         """
         if not notifies:
             return
-        from repro.live.protocol import result_to_dict
-
         by_client: dict[str, list[TaskResult]] = {}
-        stolen_home: dict[str, list[TaskResult]] = {}
         for client_id, result in notifies:
-            if client_id.startswith(PEER_PREFIX):
-                # A settled stolen task: its "client" is the donor
-                # shard, and the result goes home over the peer link.
-                stolen_home.setdefault(
-                    client_id[len(PEER_PREFIX):], []).append(result)
-            else:
-                by_client.setdefault(client_id, []).append(result)
-        for donor_shard, results in stolen_home.items():
-            self._return_stolen(donor_shard, results)
-        for client_id, results in by_client.items():
-            with self._client_lock:
-                client = self._clients.get(client_id)
-            if client is None:
-                continue
-            payloads = []
-            for result in results:
-                payload = result_to_dict(result)
-                payload["timeline"] = {
-                    "submitted": result.timeline.submitted,
-                    "dispatched": result.timeline.dispatched,
-                    "completed": result.timeline.completed,
-                }
-                payloads.append(payload)
+            by_client.setdefault(client_id, []).append(result)
+        homes: list[tuple[object, list[dict], list[TaskResult]]] = []
+        clients: list[tuple[Connection, list[TaskResult]]] = []
+        with self._state:
+            for client_id, results in by_client.items():
+                if client_id.startswith(PEER_PREFIX):
+                    # A settled stolen task: its "client" is the donor
+                    # shard, and the result goes home over the peer link.
+                    link = self._peer_links.get(client_id[len(PEER_PREFIX):])
+                    if link is not None:
+                        homes.append((link, self._stolen_entries(results), results))
+                else:
+                    client = self._clients.get(client_id)
+                    if client is not None:  # else gone; results remain queryable
+                        clients.append((client.conn, results))
+        delivered = [results for link, entries, results in homes
+                     if link.send_results(entries)]
+        for conn, results in clients:
             try:
-                client.conn.send(
-                    Message(MessageType.CLIENT_NOTIFY, sender="dispatcher",
-                            payload={"results": payloads})
-                )
+                conn.send(Message(
+                    MessageType.CLIENT_NOTIFY, sender="dispatcher",
+                    payload={"results": [_notify_payload(r) for r in results]}))
             except Exception:
                 continue  # client went away; results remain queryable
-            self.flight.record(fl.FRAME_TX, "CLIENT_NOTIFY",
-                               results=len(payloads))
-            # The notify left this process: journal the delivery so
-            # recovery knows which results the client may have seen.
-            # (Buffered send ≠ client receipt — the ``acked`` bit is a
-            # best-effort delivery marker, not an end-to-end ack; the
-            # client-side future dedupes any re-notify.)  One journal
-            # record covers the whole frame — ``ids`` keeps the hot
-            # path at one append per flush, not one per task.
-            acked_ids = [result.task_id for result in results]
-            with self._records_lock:
-                acked_records = [self._records.get(task_id)
-                                 for task_id in acked_ids]
-            for record in acked_records:
-                if record is not None:
-                    with record.lock:
+            self.flight.record(fl.FRAME_TX, "CLIENT_NOTIFY", results=len(results))
+            delivered.append(results)
+        if not delivered:
+            return
+        with self._state:
+            for results in delivered:
+                acked_ids = [result.task_id for result in results]
+                for task_id in acked_ids:
+                    record = self._records.get(task_id)
+                    if record is not None:
                         record.acked = True
-            if self.journal is not None:
                 self._journal_append("acked", "", ids=acked_ids)
-            self._evict_settled(acked_ids)
+                self._evict_settled(acked_ids)
+
+    def _stolen_entries(self, results: list[TaskResult]) -> list[dict]:
+        """RESULT entries returning settled stolen tasks to their donor,
+        each echoing the donor-side attempt."""
+        entries = []
+        for result in results:
+            record = self._records.get(result.task_id)
+            attempt = None
+            exec_seconds = 0.0
+            if record is not None:
+                attempt = record.origin_attempt
+                if record.timeline.dispatched:
+                    exec_seconds = max(
+                        0.0, record.timeline.completed - record.timeline.dispatched)
+            entries.append({"result": result_to_dict(result),
+                            "attempt": attempt,
+                            "exec": {"seconds": exec_seconds}})
+        return entries
 
     def _evict_settled(self, acked_ids: list[str]) -> None:
         """Enforce ``retain_settled``: drop the oldest acked, settled,
@@ -2488,9 +2289,7 @@ class LiveDispatcher:
 
         DLQ'd tasks are never evicted (``dlq retry`` needs the record);
         a task whose state moved on since it entered the FIFO (a racing
-        ``dlq_retry`` re-queue) is kept.  No lock is held across
-        another — membership is re-checked under ``_records_lock``
-        before the pop.
+        ``dlq_retry`` re-queue) is kept.
         """
         cap = self.retain_settled
         if cap is None:
@@ -2498,19 +2297,10 @@ class LiveDispatcher:
         self._settled_fifo.extend(acked_ids)
         while len(self._settled_fifo) > cap:
             task_id = self._settled_fifo.popleft()
-            with self._dlq_lock:
-                if task_id in self._dlq:
-                    continue
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
-                continue
-            with record.lock:
-                evictable = record.state.terminal and record.acked
-            if evictable:
-                with self._records_lock:
-                    if self._records.get(task_id) is record:
-                        del self._records[task_id]
+            record = self._records.get(task_id)
+            if (record is not None and task_id not in self._dlq
+                    and record.state.terminal and record.acked):
+                del self._records[task_id]
 
     def _drop_executor(
         self,
@@ -2519,68 +2309,68 @@ class LiveDispatcher:
         reason: str = "connection-closed",
         kind: str = ev.EXECUTOR_DROP,
     ) -> bool:
-        """Remove an executor; replay its in-flight tasks.
+        """Remove an executor and replay its in-flight tasks (state
+        lock NOT held).
 
         ``only_conn`` guards against a superseded session's late close
         tearing down the executor's replacement registration.  Returns
         whether an executor was actually removed.
         """
-        with self._exec_lock:
-            executor = self._executors.get(executor_id)
-            if executor is None:
-                return False
-            if only_conn is not None and executor.conn is not only_conn:
-                return False
-            del self._executors[executor_id]
-        if executor_id.startswith(PEER_PREFIX):
-            # A dead peer's gossiped depth is no longer a steal target.
-            with self._peer_lock:
-                self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
-        # Telemetry convergence: the dead agent's series disappear so
-        # the status surface never shows stuck gauges for it.
-        self.timeseries.forget(executor_id)
-        self.events.emit(kind, executor_id, reason=reason)
-        with executor.lock:
-            executor.dead = True
-            in_flight = list(executor.busy)
-            executor.busy.clear()
         notifies: list[tuple[str, TaskResult]] = []
-        for task_id in in_flight:
-            with self._records_lock:
-                record = self._records.get(task_id)
-            if record is None:
-                continue
-            with record.lock:
-                if record.state is not TaskState.DISPATCHED or record.executor_id != executor_id:
-                    continue
-                if not record.delivered:
-                    # The dispatch never left this process (the
-                    # WORK/ack transmission failed): restore the task
-                    # unscathed — charging an attempt and a retry here
-                    # is the double-count bug.
-                    record.attempts -= 1
-                    record.state = TaskState.QUEUED
-                    record.executor_id = ""
-                    self.spans.record(
-                        task_id, "enqueue", self._now(),
-                        attempt=record.attempts + 1, reason="undelivered",
-                    )
-                    with self._queue_lock:
-                        self._queue.appendleft(task_id)
-                else:
-                    notify = self._requeue_dispatched(record, f"executor {executor_id} lost")
-                    if notify is not None:
-                        notifies.append(notify)
         wake: list[_ExecutorSession] = []
-        with self._queue_lock:
-            qlen = len(self._queue)
-        if qlen:
-            wake = self._pick_idle_executors(1)
-        executor.conn.close()
+        with self._state:
+            conn = self._drop_locked(executor_id, only_conn, reason, kind, notifies)
+            if conn is not None and self._queue:
+                wake = self._pick_idle_executors(1)
+        if conn is None:
+            return False
+        conn.close()
         for idle in wake:
             self._send_notify(idle)
         self._notify_clients(notifies)
         return True
+
+    def _drop_locked(self, executor_id: str, only_conn: Optional[Connection],
+                     reason: str, kind: str,
+                     notifies: list) -> Optional[Connection]:
+        """The state half of a drop: remove the session and requeue its
+        in-flight tasks; failures exhausting their retries land in
+        *notifies*.  Returns the connection for the caller to close
+        once the lock is released (``None`` when nothing was dropped).
+        """
+        executor = self._executors.get(executor_id)
+        if executor is None or (only_conn is not None and executor.conn is not only_conn):
+            return None
+        del self._executors[executor_id]
+        if executor_id.startswith(PEER_PREFIX):
+            # A dead peer's gossiped depth is no longer a steal target.
+            self._peer_depths.pop(executor_id[len(PEER_PREFIX):], None)
+        # Telemetry convergence: the dead agent's series disappear so
+        # the status surface never shows stuck gauges for it.
+        self.timeseries.forget(executor_id)
+        self.events.emit(kind, executor_id, reason=reason)
+        span_rows: list[tuple] = []
+        journal_rows: list[dict] = []
+        for task_id in executor.busy:
+            record = self._records.get(task_id)
+            if (record is None or record.state is not TaskState.DISPATCHED
+                    or record.executor_id != executor_id):
+                continue
+            if not record.delivered:
+                # The dispatch never left this process (the WORK/ack
+                # transmission failed): restore the task unscathed —
+                # charging an attempt and a retry here is the
+                # double-count bug.
+                record.attempts -= 1
+                self._requeue(record, "undelivered", False, span_rows, journal_rows)
+            else:
+                notify = self._requeue_dispatched(
+                    record, f"executor {executor_id} lost", span_rows, journal_rows)
+                if notify is not None:
+                    notifies.append(notify)
+        executor.busy.clear()
+        self._flush_rows(span_rows, journal_rows)
+        return executor.conn
 
     def _session_closed(self, session: "_Session") -> None:
         role = session.role
@@ -2595,7 +2385,7 @@ class LiveDispatcher:
             self._drop_executor(PEER_PREFIX + name, only_conn=session.conn,
                                 reason="peer-connection-closed")
         elif kind == "client":
-            with self._client_lock:
+            with self._state:
                 current = self._clients.get(name)
                 if current is not None and current.conn is session.conn:
                     self._clients.pop(name, None)
@@ -2655,12 +2445,10 @@ class _Session:
         self.conn.start()
 
     def _handle(self, msg: Message) -> None:
+        # Any traffic proves liveness, not just heartbeats: each handler
+        # an executor or peer frame reaches refreshes ``last_seen`` in
+        # its own state transition.
         self.dispatcher.flight.record(fl.FRAME_RX, msg.type.name)
-        if self.role is not None and self.role[0] == "executor":
-            # Any traffic proves liveness, not just heartbeats.
-            self.dispatcher._touch(self.role[1])
-        elif self.role is not None and self.role[0] == "peer":
-            self.dispatcher._touch(PEER_PREFIX + self.role[1])
         handler = self._HANDLERS.get(msg.type)
         if handler is None:
             self.conn.send(

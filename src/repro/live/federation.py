@@ -862,8 +862,7 @@ class LocalFederation:
             status = dispatcher.status_snapshot()
             status["alive"] = True
             shards[shard_id] = status
-            with dispatcher._peer_lock:
-                links = dict(dispatcher._peer_links)
+            links = dispatcher.peer_links()
             steals[shard_id] = {
                 peer: {
                     "requested": link.steals_requested,

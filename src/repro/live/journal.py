@@ -504,20 +504,6 @@ class Journal:
             self._appended += len(records)
             self.counters["records"] += len(records)
 
-    def request_sync(self) -> None:
-        """Wake the flusher now, without waiting for durability.
-
-        Lets a caller that will :meth:`commit` shortly start the
-        write+fsync early and overlap it with its own CPU work (the
-        fsync releases the GIL); the later ``commit()`` barrier then
-        finds most — often all — of the window already flushed.
-        """
-        with self._cond:
-            if self._closed or self._failed:
-                return
-            self._sync_requested = True
-            self._cond.notify_all()
-
     def commit(self, timeout: float = 5.0) -> bool:
         """Group-commit barrier: block until prior appends are durable.
 

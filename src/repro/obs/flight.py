@@ -96,6 +96,12 @@ class FlightRecorder:
     worst misses (or double-sees) the newest event — harmless for a
     post-mortem artifact.  Hot callers pass no keyword attrs, so the
     common event costs a 4-tuple and nothing else.
+
+    The ring stores attrs as a tuple of ``(key, value)`` pairs, not a
+    dict: a tuple of scalars is untracked by the cyclic collector once
+    it survives a collection, while a dict keeps its entry tracked for
+    the whole life of the ring.  :meth:`snapshot` and dumps hand attrs
+    back as dicts.
     """
 
     __slots__ = ("component", "shard_id", "enabled", "_ring")
@@ -119,7 +125,8 @@ class FlightRecorder:
         """Append one event; a no-op when disabled."""
         if not self.enabled:
             return
-        self._ring.append((time.monotonic(), kind, subject, attrs or None))
+        self._ring.append((time.monotonic(), kind, subject,
+                           tuple(attrs.items()) if attrs else None))
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -129,8 +136,10 @@ class FlightRecorder:
         return self._ring.maxlen or 0
 
     def snapshot(self) -> list[tuple]:
-        """A point-in-time copy of the ring, oldest first."""
-        return list(self._ring)
+        """A point-in-time copy of the ring, oldest first, with each
+        event's attrs as a dict (``None`` when it had none)."""
+        return [(t, kind, subject, dict(attrs) if attrs else None)
+                for t, kind, subject, attrs in list(self._ring)]
 
     def clear(self) -> None:
         self._ring.clear()
@@ -151,7 +160,7 @@ class FlightRecorder:
         t_wall = time.time()
         t_mono = time.monotonic()
         events = []
-        for t, kind, subject, attrs in list(self._ring):
+        for t, kind, subject, attrs in self.snapshot():
             event: dict = {"t": t, "kind": kind, "subject": subject}
             if attrs:
                 event.update(attrs)

@@ -3,7 +3,7 @@
 The live plane's failure modes that *don't* close a socket are the
 hard ones: an IOLoop thread starved by a blocking handler, a queue
 that stops draining because every NOTIFY evaporated, a journal
-flusher wedged on a dying disk, a leaf lock turned convoy.  Each gets
+flusher wedged on a dying disk, a state lock turned convoy.  Each gets
 a cheap probe here; the dispatcher's monitor sweep evaluates them and
 surfaces the verdicts as registry gauges plus ``degraded`` reason
 strings on ``/healthz``.
@@ -81,8 +81,8 @@ class TimedLock:
     """A ``threading.Lock`` that measures *contended* acquisition waits.
 
     The uncontended fast path is one extra non-blocking try-acquire —
-    no clock reads, no branches beyond the miss check — so wrapping a
-    dispatcher leaf lock costs nanoseconds when nobody is waiting.
+    no clock reads, no branches beyond the miss check — so wrapping the
+    dispatcher's state lock costs nanoseconds when nobody is waiting.
     Only a miss (another thread holds the lock) takes timestamps.
 
     ``max_wait_s`` is a high-water mark since the last :meth:`drain`;

@@ -1,5 +1,6 @@
-"""Per-task collector footprint of the live plane, and the striped
-record locks that help keep it small.
+"""Per-task collector footprint of the live plane, and a stress test
+of the dispatcher's single state lock (records carry no lock of their
+own, which also keeps them small).
 
 CPython's cyclic collector walks every tracked container that is still
 alive, so the objects each settled task leaves behind set the cost of
@@ -23,7 +24,7 @@ from tests.live.util import wait_until
 TASKS = 4000
 #: Tracked objects one settled sleep-0 task may leave alive.
 BUDGET_PER_TASK = 12.0
-#: Wall-clock bound on the record-lock stress run (it takes well under
+#: Wall-clock bound on the state-lock stress run (it takes well under
 #: a second when healthy).
 STRESS_TIMEOUT_S = 30.0
 
@@ -49,12 +50,13 @@ def test_settled_task_tracked_object_budget():
 
 
 def test_striped_record_locks_conserve_under_submit_settle_dlq_retry():
-    """Submits, settles and operator DLQ retries race on records that
-    share lock stripes (many more tasks than stripes), with the GIL
-    handed over as often as CPython allows.  Every task must end
+    """Submits, settles and operator DLQ retries race on the
+    dispatcher's one state lock from three threads, with the GIL handed
+    over as often as CPython allows.  (The name predates the single
+    lock, when records shared striped locks.)  Every task must end
     completed exactly once and every poison failure quarantined exactly
-    once — a lost update or a self-deadlock on a shared stripe shows up
-    as a wrong count or a timeout."""
+    once — a lost update or a self-deadlock on the non-reentrant lock
+    shows up as a wrong count or a timeout."""
     n_tasks, poison_every = 1500, 3
     runs: Counter = Counter()
     runs_lock = threading.Lock()
@@ -116,7 +118,7 @@ def test_striped_record_locks_conserve_under_submit_settle_dlq_retry():
         runner.join(STRESS_TIMEOUT_S + 30.0)
     finally:
         sys.setswitchinterval(old_interval)
-    assert not runner.is_alive(), "striped record locks deadlocked"
+    assert not runner.is_alive(), "the dispatcher state lock deadlocked"
     stats = outcome["stats"]
     assert stats.accepted == n_tasks
     assert stats.completed == n_tasks  # each task completed exactly once

@@ -182,14 +182,15 @@ class TestLiveHttpSmoke:
             assert 'falkon_dispatcher_dispatch_latency_seconds_bucket{le="+Inf"} 60' in text
 
             # /status: dispatcher stats + executor table.  Heartbeat
-            # stats stream on a 0.1 s period; wait until both agents'
-            # telemetry landed.
+            # stats stream on a 0.1 s period, each a snapshot: one sent
+            # mid-run carries a partial count until the next, so wait
+            # until both agents' telemetry covers the whole run.
             def telemetry_complete():
                 payload = json.loads(fetch(base + "/status")[2])
                 table = payload["executors"]
-                return len(table) == 2 and all(
-                    "executed" in row for row in table.values()
-                )
+                return (len(table) == 2
+                        and all("executed" in row for row in table.values())
+                        and sum(row["executed"] for row in table.values()) >= 60)
 
             assert wait_until(telemetry_complete, timeout=10.0)
             payload = json.loads(fetch(base + "/status")[2])

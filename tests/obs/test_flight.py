@@ -1,5 +1,6 @@
 """Flight recorder unit tests: ring semantics, dump format, loaders."""
 
+import gc
 import json
 import os
 
@@ -10,6 +11,7 @@ from repro.obs.flight import (
     FRAME_RX,
     FRAME_TX,
     QUEUE_ENQUEUE,
+    TASK_SETTLE,
     FlightRecorder,
     events_between,
     flight_dump_path,
@@ -38,6 +40,22 @@ class TestRing:
         with_attrs, without = recorder.snapshot()
         assert with_attrs[3] == {"tasks": 7}
         assert without[3] is None  # no dict allocated on the hot path
+
+    def test_settle_entry_is_untracked_after_a_collection(self):
+        # The dispatcher records one TASK_SETTLE per settled task; an
+        # entry the collector still tracks is walked by every later
+        # collection for as long as it sits in the ring.  CPython
+        # untracks a tuple once none of its items is tracked, one
+        # nesting level per pass (entry -> attrs -> pair), and never
+        # untracks a dict: three passes clear a tuple-of-pairs entry,
+        # none would clear a dict-holding one.
+        recorder = FlightRecorder("dispatcher")
+        recorder.record(TASK_SETTLE, "t-1", outcome="ok")
+        for _ in range(3):
+            gc.collect()
+        entry = recorder._ring[0]
+        assert not gc.is_tracked(entry)
+        assert recorder.snapshot()[0][3] == {"outcome": "ok"}
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
